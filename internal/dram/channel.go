@@ -184,6 +184,9 @@ type Channel struct {
 
 	ranks   []rankState
 	cmdFree int64 // next cycle the command/address bus is free
+	// openBanks has bit r*Banks+b set while bank (r,b) holds an open row
+	// (banks past the 64th are not represented).
+	openBanks uint64
 
 	busFree int64 // first cycle the data bus is free
 	busDir  BusDir
@@ -237,6 +240,10 @@ func (c *Channel) OpenRow(r, b int) (row int, mask core.Mask, open bool) {
 	bk := c.bank(r, b)
 	return bk.row, bk.mask, bk.open
 }
+
+// OpenBanks returns the set of banks holding an open row as a bitmap: bit
+// r*Banks+b stands for bank (r,b). Only the first 64 banks are represented.
+func (c *Channel) OpenBanks() uint64 { return c.openBanks }
 
 // AnyBankOpen reports whether any bank in rank r holds an open row.
 func (c *Channel) AnyBankOpen(r int) bool { return c.rank(r).openCount > 0 }
@@ -421,6 +428,7 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 
 	c.flushBG(rk)
 	bk.open, bk.row, bk.mask = true, row, mask
+	c.openBanks |= 1 << uint(r*c.G.Banks+b)
 	bk.actAllowed = at + int64(c.T.TRC)
 	colDelay := int64(c.T.TRCD)
 	cmdCycles := int64(1)
@@ -579,6 +587,7 @@ func (c *Channel) closeBank(r, b int, rk *rankState, bk *bankState, preAt int64)
 	c.emit(CmdEvent{At: preAt, Kind: CmdPre, Rank: r, Bank: b, Row: bk.row})
 	bk.open = false
 	bk.mask = 0
+	c.openBanks &^= 1 << uint(r*c.G.Banks+b)
 	bk.actAllowed = max(bk.actAllowed, preAt+int64(c.T.TRP))
 	rk.openCount--
 	c.Stats.Precharges++

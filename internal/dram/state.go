@@ -68,8 +68,9 @@ func (c *Channel) SaveState(w *checkpoint.Writer) {
 }
 
 // RestoreState decodes a SaveState payload into temporaries and returns a
-// commit that installs it; on error the channel is untouched. openCount is
-// recomputed from the bank states rather than trusted from the payload.
+// commit that installs it; on error the channel is untouched. openCount and
+// openBanks are recomputed from the bank states rather than trusted from
+// the payload.
 func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 	cmdFree := r.I64()
 	busFree := r.I64()
@@ -83,6 +84,7 @@ func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 	}
 	acctUpTo := r.I64()
 	ranks := make([]rankState, len(c.ranks))
+	var openBanks uint64
 	for ri := range ranks {
 		rk := &ranks[ri]
 		rk.rrdAllowed = r.I64()
@@ -124,6 +126,7 @@ func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 					r.Fail("dram: rank %d bank %d open with empty mask", ri, bi)
 				}
 				rk.openCount++
+				openBanks |= 1 << uint(ri*c.G.Banks+bi)
 			}
 		}
 		switch rk.pd {
@@ -179,6 +182,7 @@ func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 		c.busRank = busRank
 		c.acctUpTo = acctUpTo
 		c.ranks = ranks
+		c.openBanks = openBanks
 		if tracking {
 			c.rowCtr = rowCtr
 		}

@@ -2,6 +2,8 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"pradram/internal/core"
 	"pradram/internal/dram"
@@ -206,15 +208,21 @@ func (s *Stats) Add(o Stats) {
 }
 
 type request struct {
-	kind      core.AccessKind
+	// The fields the scheduling passes read per visited request come
+	// first, so a visit mostly touches one cache line. seq is the arrival
+	// order within the request's queue, and bnext links the queue's
+	// arrival-ordered list of the request's bank (reqQueue); both stay zero
+	// on forwarded reads.
 	loc       Loc
-	rowKey    uint64
+	bnext     *request
+	seq       uint64
+	kind      core.AccessKind
+	wordMask  core.Mask // cached projection of byteMask (FullMask for reads)
+	falseHit  bool
+	activated bool          // an ACT was issued on this request's behalf
 	byteMask  core.ByteMask // writes: FGD dirty bytes
-	wordMask  core.Mask     // cached projection of byteMask (FullMask for reads)
 	arrive    int64         // memory cycle
 	done      core.Done     // reads: completion, invoked with the CPU cycle
-	activated bool          // an ACT was issued on this request's behalf
-	falseHit  bool
 	// mark is the attribution frontier (latency.go): all waiting before it
 	// has been blamed, so each command sweep covers [mark, issue). It
 	// advances whether or not LatBreak is on — the assignment is free, and
@@ -229,6 +237,88 @@ type request struct {
 // need returns the PRA word mask this request requires open.
 func (r *request) need() core.Mask { return r.wordMask }
 
+// reqQueue is one FR-FCFS queue (DESIGN.md §4k). reqs holds the requests
+// in arrival order, the order checkpoints serialize. An intrusive index
+// over the same requests threads each bank's requests (bank index
+// rank*Banks+bank) into an arrival-ordered list headed by banks[b]; busy
+// marks the banks whose list is non-empty and order lists the same banks
+// by the arrival of their heads. The scheduling passes therefore cost the
+// banks with work rather than the queue depth.
+type reqQueue struct {
+	reqs  []*request
+	banks []*request // Ranks*Banks list heads; Validate caps that at 64
+	order []uint8    // non-empty banks, oldest head first
+	busy  uint64
+	seq   uint64 // last arrival sequence number handed out
+}
+
+// push appends r, queued for bank b. A request entering an empty bank is
+// the newest head, so its bank joins the end of order. Bank lists are
+// short (a queue's requests spread over the banks), so the tail is found
+// by walking.
+func (q *reqQueue) push(r *request, b int) {
+	q.seq++
+	r.seq = q.seq
+	q.reqs = append(q.reqs, r)
+	link := &q.banks[b]
+	for *link != nil {
+		link = &(*link).bnext
+	}
+	*link = r
+	if link == &q.banks[b] {
+		q.busy |= 1 << uint(b)
+		q.order = append(q.order, uint8(b))
+	}
+}
+
+// remove takes r, queued for bank b, out of the queue; the rest keep
+// their order. Removing a bank head moves the bank later in order (its
+// next request arrived later) or drops it when the bank empties.
+func (q *reqQueue) remove(r *request, b int) {
+	i := slices.Index(q.reqs, r)
+	q.reqs = slices.Delete(q.reqs, i, i+1)
+	link := &q.banks[b]
+	for *link != r {
+		link = &(*link).bnext
+	}
+	*link = r.bnext
+	if link != &q.banks[b] {
+		return
+	}
+	i = slices.Index(q.order, uint8(b))
+	h := q.banks[b]
+	if h == nil {
+		q.busy &^= 1 << uint(b)
+		q.order = slices.Delete(q.order, i, i+1)
+		return
+	}
+	for ; i+1 < len(q.order) && q.banks[q.order[i+1]].seq < h.seq; i++ {
+		q.order[i] = q.order[i+1]
+	}
+	q.order[i] = uint8(b)
+}
+
+// find returns the queued request for location l in bank b, or nil.
+func (q *reqQueue) find(b int, l Loc) *request {
+	for o := q.banks[b]; o != nil; o = o.bnext {
+		if o.loc == l {
+			return o
+		}
+	}
+	return nil
+}
+
+// hits reports whether a request other than skip queued for bank b would
+// hit row open under mask.
+func (q *reqQueue) hits(b, row int, mask core.Mask, skip *request) bool {
+	for o := q.banks[b]; o != nil; o = o.bnext {
+		if o != skip && o.loc.Row == row && core.ClassifyAccess(true, true, mask, o.kind, o.need()) == core.Hit {
+			return true
+		}
+	}
+	return false
+}
+
 type chanCtl struct {
 	cfg *Config
 	ch  *dram.Channel
@@ -236,20 +326,11 @@ type chanCtl struct {
 	am  *AddressMapper
 	idx int // channel index
 
-	readQ, writeQ []*request
+	readQ, writeQ reqQueue
 	drain         bool
-	hitCount      [][]int
+	hitCount      []int // open-row accesses per bank, indexed like reqQueue.banks
 	refPending    []bool
 	forwards      []*request // reads served from the write queue
-
-	// rowCount tracks queued requests per row key and rankCount per rank,
-	// so the hot benefit/idle checks avoid scanning the queues. rowCount is
-	// a small unordered key/count list rather than a map: the queues hold a
-	// handful of distinct rows at a time, and a linear scan over that beats
-	// map hashing on the scheduling hot path. No caller iterates it, so its
-	// internal order (swap-delete on removal) cannot leak into results.
-	rowCount  rowCounts
-	rankCount []int
 
 	// lastWork is the last scheduling-pass cycle at which each rank had
 	// queued work, the idle clock the timeout-based power-down policies
@@ -329,58 +410,9 @@ func (cc *chanCtl) noteReady(at int64) {
 	}
 }
 
-func (cc *chanCtl) noteAdd(req *request) {
-	cc.rowCount.inc(req.rowKey)
-	cc.rankCount[req.loc.Rank]++
-}
-
-func (cc *chanCtl) noteRemove(req *request) {
-	cc.rowCount.dec(req.rowKey)
-	cc.rankCount[req.loc.Rank]--
-}
-
-// rowCounts is a small key→count multiset over row keys.
-type rowCounts []rowKC
-
-type rowKC struct {
-	key uint64
-	n   int
-}
-
-func (rc rowCounts) get(key uint64) int {
-	for i := range rc {
-		if rc[i].key == key {
-			return rc[i].n
-		}
-	}
-	return 0
-}
-
-func (rc *rowCounts) inc(key uint64) {
-	s := *rc
-	for i := range s {
-		if s[i].key == key {
-			s[i].n++
-			return
-		}
-	}
-	*rc = append(s, rowKC{key: key, n: 1})
-}
-
-func (rc *rowCounts) dec(key uint64) {
-	s := *rc
-	for i := range s {
-		if s[i].key != key {
-			continue
-		}
-		if s[i].n--; s[i].n == 0 {
-			last := len(s) - 1
-			s[i] = s[last]
-			*rc = s[:last]
-		}
-		return
-	}
-}
+// bankIdx returns the channel-wide index of bank (rank, bank), the bit
+// position of dram.Channel.OpenBanks.
+func (cc *chanCtl) bankIdx(rank, bank int) int { return rank*cc.cfg.Geom.Banks + bank }
 
 // Controller is the full multi-channel memory controller. It implements
 // the cache.Backend contract in the CPU clock domain and steps the DRAM
@@ -452,13 +484,12 @@ func New(cfg Config) (*Controller, error) {
 			acc.ECCChips = 1
 		}
 		cc := &chanCtl{cfg: &c.cfg, ch: ch, acc: acc, am: am, idx: i}
-		cc.hitCount = make([][]int, cfg.Geom.Ranks)
-		for r := range cc.hitCount {
-			cc.hitCount[r] = make([]int, cfg.Geom.Banks)
-		}
+		nb := cfg.Geom.Ranks * cfg.Geom.Banks
+		cc.hitCount = make([]int, nb)
 		cc.refPending = make([]bool, cfg.Geom.Ranks)
-		cc.rowCount = nil
-		cc.rankCount = make([]int, cfg.Geom.Ranks)
+		heads, order := make([]*request, 2*nb), make([]uint8, 0, 2*nb)
+		cc.readQ.banks, cc.writeQ.banks = heads[:nb:nb], heads[nb:]
+		cc.readQ.order, cc.writeQ.order = order[:0:nb], order[nb:nb]
 		cc.lastWork = make([]int64, cfg.Geom.Ranks)
 		if cfg.LatBreak {
 			cc.latHistBank = make([]stats.LogHist, cfg.Geom.Ranks*cfg.Geom.Banks)
@@ -479,30 +510,28 @@ func (c *Controller) RowKey(addr uint64) uint64 { return c.am.RowKey(addr) }
 func (c *Controller) Read(addr uint64, done core.Done) bool {
 	l := c.am.Decompose(addr)
 	cc := c.chans[l.Channel]
-	if len(cc.readQ) >= c.cfg.ReadQ {
+	if len(cc.readQ.reqs) >= c.cfg.ReadQ {
 		cc.stats.ReadRejects++
 		return false
 	}
 	req := cc.allocReq()
 	req.kind = core.Read
 	req.loc = l
-	req.rowKey = c.am.RowKeyOf(l)
 	req.wordMask = core.FullMask
 	req.arrive = c.lastMem + 1
 	req.mark = req.arrive
 	req.done = done // invoked with the CPU cycle: call sites scale by CPUPerMem
 	cc.nextWake = 0
 	c.active = true
-	// Forward from the write queue: the newest matching write has the data.
-	for _, w := range cc.writeQ {
-		if w.loc == l {
-			cc.forwards = append(cc.forwards, req)
-			cc.stats.Forwarded++
-			return true
-		}
+	// Forward from the write queue: the queued write (merging keeps at
+	// most one per location) has the data.
+	b := cc.bankIdx(l.Rank, l.Bank)
+	if cc.writeQ.find(b, l) != nil {
+		cc.forwards = append(cc.forwards, req)
+		cc.stats.Forwarded++
+		return true
 	}
-	cc.readQ = append(cc.readQ, req)
-	cc.noteAdd(req)
+	cc.readQ.push(req, b)
 	return true
 }
 
@@ -521,27 +550,24 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 	if c.cfg.Scheme.chipMasks() {
 		project = core.ByteMask.ChipMask
 	}
-	for _, w := range cc.writeQ {
-		if w.loc == l {
-			w.byteMask |= mask
-			w.wordMask = project(w.byteMask)
-			return true
-		}
+	b := cc.bankIdx(l.Rank, l.Bank)
+	if w := cc.writeQ.find(b, l); w != nil {
+		w.byteMask |= mask
+		w.wordMask = project(w.byteMask)
+		return true
 	}
-	if len(cc.writeQ) >= c.cfg.WriteQ {
+	if len(cc.writeQ.reqs) >= c.cfg.WriteQ {
 		cc.stats.WriteRejects++
 		return false
 	}
 	req := cc.allocReq()
 	req.kind = core.Write
 	req.loc = l
-	req.rowKey = c.am.RowKeyOf(l)
 	req.byteMask = mask
 	req.wordMask = project(mask)
 	req.arrive = c.lastMem + 1
 	req.mark = req.arrive
-	cc.writeQ = append(cc.writeQ, req)
-	cc.noteAdd(req)
+	cc.writeQ.push(req, b)
 	cc.nextWake = 0
 	c.active = true
 	return true
@@ -561,7 +587,7 @@ func (c *Controller) ResetStats() {
 // Pending reports whether any request is still queued or forwarding.
 func (c *Controller) Pending() bool {
 	for _, cc := range c.chans {
-		if len(cc.readQ) > 0 || len(cc.writeQ) > 0 || len(cc.forwards) > 0 {
+		if len(cc.readQ.reqs) > 0 || len(cc.writeQ.reqs) > 0 || len(cc.forwards) > 0 {
 			return true
 		}
 	}
@@ -768,17 +794,17 @@ func (cc *chanCtl) tick(mem int64) {
 	}
 
 	// Watermark-driven write drain (Section 5.1.2).
-	if len(cc.writeQ) >= cc.cfg.HighWM {
+	if len(cc.writeQ.reqs) >= cc.cfg.HighWM {
 		if !cc.drain && cc.ev.Enabled(obs.LevelState) {
 			cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-				Kind: "drain-start", Detail: fmt.Sprintf("write queue %d >= high watermark %d", len(cc.writeQ), cc.cfg.HighWM)})
+				Kind: "drain-start", Detail: fmt.Sprintf("write queue %d >= high watermark %d", len(cc.writeQ.reqs), cc.cfg.HighWM)})
 		}
 		cc.drain = true
-	} else if cc.drain && len(cc.writeQ) <= cc.cfg.LowWM {
+	} else if cc.drain && len(cc.writeQ.reqs) <= cc.cfg.LowWM {
 		cc.drain = false
 		if cc.ev.Enabled(obs.LevelState) {
 			cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-				Kind: "drain-stop", Detail: fmt.Sprintf("write queue %d <= low watermark %d", len(cc.writeQ), cc.cfg.LowWM)})
+				Kind: "drain-stop", Detail: fmt.Sprintf("write queue %d <= low watermark %d", len(cc.writeQ.reqs), cc.cfg.LowWM)})
 		}
 	}
 
@@ -811,7 +837,7 @@ func (cc *chanCtl) schedule(mem int64) bool {
 		return cc.issueRFM(mem)
 	}
 	primary, secondary := &cc.readQ, &cc.writeQ
-	if cc.drain || len(cc.readQ) == 0 {
+	if cc.drain || len(cc.readQ.reqs) == 0 {
 		primary, secondary = &cc.writeQ, &cc.readQ
 	}
 	if cc.tryColumn(mem, primary) {
@@ -915,7 +941,7 @@ func (cc *chanCtl) issueRefresh(mem int64) bool {
 				}
 				if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
 					if err := cc.ch.Precharge(mem, r, b); err == nil {
-						cc.hitCount[r][b] = 0
+						cc.hitCount[cc.bankIdx(r, b)] = 0
 						return true
 					}
 				} else {
@@ -953,7 +979,7 @@ func (cc *chanCtl) issueRefreshBank(mem int64, r int) bool {
 	if _, _, open := cc.ch.OpenRow(r, b); open {
 		if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
 			if err := cc.ch.Precharge(mem, r, b); err == nil {
-				cc.hitCount[r][b] = 0
+				cc.hitCount[cc.bankIdx(r, b)] = 0
 				return true
 			}
 		} else {
@@ -989,97 +1015,72 @@ func (cc *chanCtl) writeFrac(req *request) float64 {
 	return req.need().Fraction()
 }
 
-// tryColumn issues the first ready column command for a covered open-row
-// request, honoring the open-row access cap.
-func (cc *chanCtl) tryColumn(mem int64, q *[]*request) bool {
-	if cc.ch.OpenBankCount() == 0 {
-		return false // no open rows, so no column command can be legal
-	}
-	geom := cc.cfg.Geom
+// tryColumn issues the oldest ready column command for a covered open-row
+// request, honoring the open-row access cap. Every request of q in one
+// bank sees that bank's hit cap and column readiness, so only the oldest
+// covered request of each open bank can win (DESIGN.md §4k): the pass
+// takes one candidate per bank and issues the oldest ready one.
+func (cc *chanCtl) tryColumn(mem int64, q *reqQueue) bool {
 	burst := cc.cfg.Scheme.burstCycles(cc.cfg.Timing.TBURST)
-	if len(*q) < geom.Ranks*geom.Banks {
-		// Short queue: one OpenRow per request beats snapshotting every
-		// bank (the common case — queues are near-empty most cycles).
-		for i, req := range *q {
-			l := req.loc
-			if cc.refPending[l.Rank] {
-				continue
-			}
-			row, mask, open := cc.ch.OpenRow(l.Rank, l.Bank)
-			if !open || row != l.Row {
-				continue
-			}
-			if cc.issueColumn(mem, q, i, req, mask, burst) {
-				return true
-			}
-		}
-		return false
-	}
-	// Deep queue: hoist open-row state, one snapshot instead of
-	// per-request lookups.
-	var openRows [64]int32 // row or -1; geometry is validated <= 64 banks
-	for r := 0; r < geom.Ranks; r++ {
-		for b := 0; b < geom.Banks; b++ {
-			if row, _, open := cc.ch.OpenRow(r, b); open {
-				openRows[r*geom.Banks+b] = int32(row)
-			} else {
-				openRows[r*geom.Banks+b] = -1
-			}
-		}
-	}
-	for i, req := range *q {
-		l := req.loc
-		if openRows[l.Rank*geom.Banks+l.Bank] != int32(l.Row) || cc.refPending[l.Rank] {
+	var best *request
+	var bestMask core.Mask
+	var bestTerms dram.LatTerms
+	for m := q.busy & cc.ch.OpenBanks(); m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		if cc.hitCount[b] >= cc.cfg.MaxRowHits {
 			continue
 		}
-		_, mask, _ := cc.ch.OpenRow(l.Rank, l.Bank)
-		if cc.issueColumn(mem, q, i, req, mask, burst) {
-			return true
+		req := q.banks[b]
+		l := &req.loc // rank and bank are shared by the whole list
+		if cc.refPending[l.Rank] {
+			continue
 		}
-	}
-	return false
-}
-
-// issueColumn attempts the column command for request i of q, whose bank
-// holds its row open under mask. Reports whether a command issued; both
-// tryColumn scan paths funnel through here so their decisions are
-// identical by construction.
-func (cc *chanCtl) issueColumn(mem int64, q *[]*request, i int, req *request, mask core.Mask, burst int) bool {
-	l := req.loc
-	if core.ClassifyAccess(true, true, mask, req.kind, req.need()) != core.Hit {
-		return false
-	}
-	if cc.hitCount[l.Rank][l.Bank] >= cc.cfg.MaxRowHits {
-		return false
-	}
-	autoPre := cc.autoPrecharge(req, mask)
-	var terms dram.LatTerms
-	if req.kind == core.Read {
-		if at := cc.ch.ReadLatTerms(mem, l.Rank, l.Bank, burst, &terms); at > mem {
+		row, mask, _ := cc.ch.OpenRow(l.Rank, l.Bank)
+		for req != nil && (req.loc.Row != row ||
+			core.ClassifyAccess(true, true, mask, req.kind, req.need()) != core.Hit) {
+			req = req.bnext
+		}
+		if req == nil || (best != nil && req.seq > best.seq) {
+			continue
+		}
+		var terms dram.LatTerms
+		var at int64
+		if req.kind == core.Read {
+			at = cc.ch.ReadLatTerms(mem, l.Rank, l.Bank, burst, &terms)
+		} else {
+			at = cc.ch.WriteLatTerms(mem, l.Rank, l.Bank, burst, &terms)
+		}
+		if at > mem {
 			cc.noteReady(at)
-			return false
+			continue
 		}
+		best, bestMask, bestTerms = req, mask, terms
+	}
+	if best == nil {
+		return false
+	}
+	// Readiness covers every condition the device checks (open bank, awake
+	// rank, timing), so the column command cannot fail.
+	req, l := best, best.loc
+	autoPre := cc.autoPrecharge(req, bestMask)
+	if req.kind == core.Read {
 		done, err := cc.ch.Read(mem, l.Rank, l.Bank, burst, cc.cfg.Scheme.ioFrac(), autoPre)
 		if err != nil {
 			return false
 		}
-		cc.finishColumn(q, i, req, autoPre)
+		cc.finishColumn(q, req, autoPre)
 		cc.stats.ReadLatencySum += done - req.arrive
-		cc.sweepWait(req, mem, &terms)
+		cc.sweepWait(req, mem, &bestTerms)
 		cc.completeLat(req, mem, done)
 		cc.complete(req.done, done*cc.cfg.CPUPerMem)
 	} else {
-		if at := cc.ch.WriteLatTerms(mem, l.Rank, l.Bank, burst, &terms); at > mem {
-			cc.noteReady(at)
-			return false
-		}
 		end, err := cc.ch.Write(mem, l.Rank, l.Bank, burst, cc.writeFrac(req), autoPre)
 		if err != nil {
 			return false
 		}
-		cc.finishColumn(q, i, req, autoPre)
+		cc.finishColumn(q, req, autoPre)
 		cc.stats.WriteLatencySum += end - req.arrive
-		cc.sweepWait(req, mem, &terms)
+		cc.sweepWait(req, mem, &bestTerms)
 		cc.completeLat(req, mem, end)
 	}
 	cc.releaseReq(req)
@@ -1088,12 +1089,12 @@ func (cc *chanCtl) issueColumn(mem int64, q *[]*request, i int, req *request, ma
 
 // finishColumn updates hit accounting and removes the request from its
 // queue.
-func (cc *chanCtl) finishColumn(q *[]*request, i int, req *request, autoPre bool) {
+func (cc *chanCtl) finishColumn(q *reqQueue, req *request, autoPre bool) {
 	l := req.loc
 	if autoPre {
-		cc.hitCount[l.Rank][l.Bank] = 0
+		cc.hitCount[cc.bankIdx(l.Rank, l.Bank)] = 0
 	} else {
-		cc.hitCount[l.Rank][l.Bank]++
+		cc.hitCount[cc.bankIdx(l.Rank, l.Bank)]++
 	}
 	if req.kind == core.Read {
 		cc.stats.ReadsServed++
@@ -1106,10 +1107,7 @@ func (cc *chanCtl) finishColumn(q *[]*request, i int, req *request, autoPre bool
 			cc.stats.RowHitWrite++
 		}
 	}
-	s := *q
-	copy(s[i:], s[i+1:])
-	*q = s[:len(s)-1]
-	cc.noteRemove(req)
+	q.remove(req, cc.bankIdx(l.Rank, l.Bank))
 }
 
 // autoPrecharge decides whether a column access should close the row:
@@ -1121,86 +1119,74 @@ func (cc *chanCtl) autoPrecharge(req *request, openMask core.Mask) bool {
 		return true
 	}
 	l := req.loc
-	if cc.hitCount[l.Rank][l.Bank]+1 >= cc.cfg.MaxRowHits {
+	if cc.hitCount[cc.bankIdx(l.Rank, l.Bank)]+1 >= cc.cfg.MaxRowHits {
 		return true
 	}
 	if cc.cfg.Policy == OpenPage {
 		return false // rows stay open until a conflict or the hit cap
 	}
-	// req itself is still queued, so a count of 1 means nobody else.
-	if cc.rowCount.get(req.rowKey) <= 1 {
-		return true
-	}
-	if openMask.IsFull() {
-		return false // any same-row request hits a full row
-	}
-	for _, q := range [2][]*request{cc.readQ, cc.writeQ} {
-		for _, o := range q {
-			if o == req || o.rowKey != req.rowKey {
-				continue
-			}
-			if core.ClassifyAccess(true, true, openMask, o.kind, o.need()) == core.Hit {
-				return false
-			}
-		}
-	}
-	return true
+	b := cc.bankIdx(l.Rank, l.Bank)
+	return !cc.readQ.hits(b, l.Row, openMask, req) && !cc.writeQ.hits(b, l.Row, openMask, req)
 }
 
 // actMask computes the activation mask for a request (Section 5.2.1: PRA
 // masks of queued same-row writes are ORed; a queued same-row read forces
-// a full activation).
+// a full activation). The masks are read at activation time, so a write
+// widened by a merge contributes its merged mask.
 func (cc *chanCtl) actMask(req *request) core.Mask {
 	if !cc.cfg.Scheme.praWrites() || req.kind == core.Read {
 		return core.FullMask
 	}
-	if cc.rowCount.get(req.rowKey) <= 1 {
-		return req.need() // no other queued request shares the row
-	}
-	m := req.need()
-	for _, o := range cc.writeQ {
-		if o.rowKey == req.rowKey {
-			m = m.Union(o.need())
+	b, row := cc.bankIdx(req.loc.Rank, req.loc.Bank), req.loc.Row
+	for o := cc.readQ.banks[b]; o != nil; o = o.bnext {
+		if o.loc.Row == row {
+			return core.FullMask
 		}
 	}
-	for _, o := range cc.readQ {
-		if o.rowKey == req.rowKey {
-			return core.FullMask
+	m := req.need()
+	for o := cc.writeQ.banks[b]; o != nil; o = o.bnext {
+		if o.loc.Row == row {
+			m = m.Union(o.need())
 		}
 	}
 	return m
 }
 
+// markFalseHit counts req, whose row is open under mask, as a false hit
+// the first time the mask fails to cover it (Section 5.2.1): in a
+// conventional DRAM it would have hit the open row.
+func (cc *chanCtl) markFalseHit(req *request, mask core.Mask) {
+	if req.falseHit || core.ClassifyAccess(true, true, mask, req.kind, req.need()) != core.FalseHit {
+		return
+	}
+	req.falseHit = true
+	if req.kind == core.Read {
+		cc.stats.FalseHitRead++
+	} else {
+		cc.stats.FalseHitWrite++
+	}
+}
+
 // tryPrep progresses the oldest request that needs an ACT or PRE. Only the
-// oldest request per bank matters (FCFS within a bank), so each bank is
-// examined once per scan.
-func (cc *chanCtl) tryPrep(mem int64, q *[]*request) bool {
+// oldest request per bank matters (FCFS within a bank), so the pass walks
+// the bank heads in arrival order (reqQueue.order).
+//
+// False hits are counted for every queued request that observes its row
+// partially open, even while older same-bank requests are still in line,
+// up to and including the head that issues (DESIGN.md §4k). Heads are
+// classified as they are walked; younger requests afterwards, against bank
+// state the issued command did not touch.
+func (cc *chanCtl) tryPrep(mem int64, q *reqQueue) bool {
 	half := cc.cfg.Scheme.halfDRAMOrg()
-	var visited uint64
-	for _, req := range *q {
-		l := req.loc
+	var partial uint64 // walked banks open under a partial mask with younger requests
+	var issued *request
+	for _, b := range q.order {
+		req := q.banks[b]
+		l := &req.loc
 		if cc.refPending[l.Rank] {
 			continue
 		}
 		row, mask, open := cc.ch.OpenRow(l.Rank, l.Bank)
-		// False-hit accounting happens for every queued request that
-		// observes the partially open row, even while older same-bank
-		// requests are still in line (Section 5.2.1): in a conventional
-		// DRAM this request would have hit the open row.
-		if open && row == l.Row && !req.falseHit &&
-			core.ClassifyAccess(true, true, mask, req.kind, req.need()) == core.FalseHit {
-			req.falseHit = true
-			if req.kind == core.Read {
-				cc.stats.FalseHitRead++
-			} else {
-				cc.stats.FalseHitWrite++
-			}
-		}
-		bankBit := uint64(1) << uint(l.Rank*cc.cfg.Geom.Banks+l.Bank)
-		if visited&bankBit != 0 {
-			continue
-		}
-		visited |= bankBit
 		if !open {
 			m := cc.actMask(req)
 			var terms dram.LatTerms
@@ -1211,7 +1197,7 @@ func (cc *chanCtl) tryPrep(mem int64, q *[]*request) bool {
 			if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, m, half); err != nil {
 				continue
 			}
-			cc.hitCount[l.Rank][l.Bank] = 0
+			cc.hitCount[b] = 0
 			req.activated = true
 			cc.sweepWait(req, mem, &terms)
 			if req.kind == core.Read {
@@ -1219,12 +1205,19 @@ func (cc *chanCtl) tryPrep(mem int64, q *[]*request) bool {
 			} else {
 				cc.stats.ActsForWrites++
 			}
-			cc.mitOnAct(mem, l)
-			return true
+			cc.mitOnAct(mem, *l)
+			issued = req
+			break
 		}
 		sameRow := row == l.Row
+		if sameRow {
+			cc.markFalseHit(req, mask)
+		}
+		if !mask.IsFull() && req.bnext != nil {
+			partial |= 1 << b
+		}
 		outcome := core.ClassifyAccess(true, sameRow, mask, req.kind, req.need())
-		if outcome == core.Hit && cc.hitCount[l.Rank][l.Bank] < cc.cfg.MaxRowHits {
+		if outcome == core.Hit && cc.hitCount[b] < cc.cfg.MaxRowHits {
 			continue // waiting for the column path; nothing to prep
 		}
 		if cc.rowBenefits(l.Rank, l.Bank, row, mask) {
@@ -1235,14 +1228,28 @@ func (cc *chanCtl) tryPrep(mem int64, q *[]*request) bool {
 		}
 		if at := cc.ch.PreReadyAt(mem, l.Rank, l.Bank); at <= mem {
 			if err := cc.ch.Precharge(mem, l.Rank, l.Bank); err == nil {
-				cc.hitCount[l.Rank][l.Bank] = 0
-				return true
+				cc.hitCount[b] = 0
+				issued = req
+				break
 			}
 		} else {
 			cc.noteReady(at)
 		}
 	}
-	return false
+	limit := uint64(1<<64 - 1)
+	if issued != nil {
+		limit = issued.seq // the issuing bank's younger requests fall past it
+	}
+	for m := partial; m != 0; m &= m - 1 {
+		h := q.banks[bits.TrailingZeros64(m)]
+		row, mask, _ := cc.ch.OpenRow(h.loc.Rank, h.loc.Bank)
+		for o := h.bnext; o != nil && o.seq <= limit; o = o.bnext {
+			if o.loc.Row == row {
+				cc.markFalseHit(o, mask)
+			}
+		}
+	}
+	return issued != nil
 }
 
 // idleManage closes rows no queued request benefits from and power-downs
@@ -1250,27 +1257,22 @@ func (cc *chanCtl) tryPrep(mem int64, q *[]*request) bool {
 // whether a precharge command was issued.
 func (cc *chanCtl) idleManage(mem int64) bool {
 	geom := cc.cfg.Geom
-	if cc.ch.OpenBankCount() > 0 && cc.cfg.Policy != OpenPage {
-		for r := 0; r < geom.Ranks; r++ {
-			if !cc.ch.AnyBankOpen(r) {
-				continue // skip the bank walk for fully closed ranks
+	if cc.cfg.Policy != OpenPage {
+		// Open banks in (rank, bank) order.
+		for m := cc.ch.OpenBanks(); m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			r, b := i/geom.Banks, i%geom.Banks
+			row, mask, _ := cc.ch.OpenRow(r, b)
+			if cc.rowBenefits(r, b, row, mask) {
+				continue
 			}
-			for b := 0; b < geom.Banks; b++ {
-				row, mask, open := cc.ch.OpenRow(r, b)
-				if !open {
-					continue
+			if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
+				if err := cc.ch.Precharge(mem, r, b); err == nil {
+					cc.hitCount[i] = 0
+					return true
 				}
-				if cc.rowBenefits(r, b, row, mask) {
-					continue
-				}
-				if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
-					if err := cc.ch.Precharge(mem, r, b); err == nil {
-						cc.hitCount[r][b] = 0
-						return true
-					}
-				} else {
-					cc.noteReady(at)
-				}
+			} else {
+				cc.noteReady(at)
 			}
 		}
 	}
@@ -1373,7 +1375,7 @@ func (cc *chanCtl) pdDueAt(mem int64, r int) int64 {
 	case PDTimed:
 		return cc.lastWork[r] + cc.cfg.PDTimeout
 	case PDQueueAware:
-		if len(cc.readQ) == 0 && len(cc.writeQ) == 0 {
+		if cc.readQ.busy|cc.writeQ.busy == 0 {
 			return mem
 		}
 		return cc.lastWork[r] + cc.cfg.PDTimeout
@@ -1393,27 +1395,15 @@ func (cc *chanCtl) srDueAt(r int) int64 {
 
 // rowBenefits reports whether any queued request would hit the open row.
 func (cc *chanCtl) rowBenefits(rank, bank, row int, mask core.Mask) bool {
-	if cc.hitCount[rank][bank] >= cc.cfg.MaxRowHits {
+	if cc.hitCount[cc.bankIdx(rank, bank)] >= cc.cfg.MaxRowHits {
 		return false
 	}
-	key := cc.am.RowKeyOf(Loc{Channel: cc.idx, Rank: rank, Bank: bank, Row: row})
-	if cc.rowCount.get(key) == 0 {
-		return false
-	}
-	if mask.IsFull() {
-		return true
-	}
-	for _, q := range [2][]*request{cc.readQ, cc.writeQ} {
-		for _, o := range q {
-			if o.rowKey != key {
-				continue
-			}
-			if core.ClassifyAccess(true, true, mask, o.kind, o.need()) == core.Hit {
-				return true
-			}
-		}
-	}
-	return false
+	b := cc.bankIdx(rank, bank)
+	return cc.readQ.hits(b, row, mask, nil) || cc.writeQ.hits(b, row, mask, nil)
 }
 
-func (cc *chanCtl) rankHasWork(rank int) bool { return cc.rankCount[rank] > 0 }
+// rankHasWork reports whether any queued request targets rank.
+func (cc *chanCtl) rankHasWork(rank int) bool {
+	banks := cc.cfg.Geom.Banks
+	return (cc.readQ.busy|cc.writeQ.busy)>>uint(rank*banks)&(1<<uint(banks)-1) != 0
+}

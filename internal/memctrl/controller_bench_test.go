@@ -7,8 +7,11 @@ import (
 )
 
 // benchTraffic drives the controller with a synthetic random read/write
-// mix and measures ticks per second under load.
-func benchTraffic(b *testing.B, scheme Scheme) {
+// mix and measures ticks per second under load. At most maxReads reads are
+// outstanding; a positive maxQueued also caps the requests of either kind
+// waiting in the queues (writes have no completion to count), which keeps
+// them as shallow as a latency-bound core's.
+func benchTraffic(b *testing.B, scheme Scheme, maxReads, maxQueued int) {
 	cfg := DefaultConfig()
 	cfg.Scheme = scheme
 	c, err := New(cfg)
@@ -25,7 +28,7 @@ func benchTraffic(b *testing.B, scheme Scheme) {
 	outstanding := 0
 	b.ResetTimer()
 	for cpu := int64(0); cpu < int64(b.N); cpu++ {
-		if outstanding < 48 {
+		if outstanding < maxReads && (maxQueued == 0 || queued(c) < maxQueued) {
 			addr := (next() % (4 << 30)) &^ 63
 			if next()%2 == 0 {
 				if c.Read(addr, core.Untagged(func(int64) { outstanding-- })) {
@@ -39,8 +42,19 @@ func benchTraffic(b *testing.B, scheme Scheme) {
 	}
 }
 
-func BenchmarkControllerBaseline(b *testing.B) { benchTraffic(b, Baseline) }
-func BenchmarkControllerPRA(b *testing.B)      { benchTraffic(b, PRA) }
+// queued counts the requests waiting in the controller's queues.
+func queued(c *Controller) int {
+	n := 0
+	for _, cc := range c.chans {
+		n += len(cc.readQ.reqs) + len(cc.writeQ.reqs)
+	}
+	return n
+}
+
+func BenchmarkControllerBaseline(b *testing.B)        { benchTraffic(b, Baseline, 48, 0) }
+func BenchmarkControllerPRA(b *testing.B)             { benchTraffic(b, PRA, 48, 0) }
+func BenchmarkControllerShallowBaseline(b *testing.B) { benchTraffic(b, Baseline, 2, 2) }
+func BenchmarkControllerShallowPRA(b *testing.B)      { benchTraffic(b, PRA, 2, 2) }
 
 // BenchmarkAddressDecompose measures the mapping hot path.
 func BenchmarkAddressDecompose(b *testing.B) {

@@ -219,10 +219,10 @@ func (cc *chanCtl) resetLat() {
 	cc.spans = cc.spans[:0]
 	cc.spanHead = 0
 	cc.spanSeq = 0
-	for _, req := range cc.readQ {
+	for _, req := range cc.readQ.reqs {
 		req.brk = LatBreakdown{}
 	}
-	for _, req := range cc.writeQ {
+	for _, req := range cc.writeQ.reqs {
 		req.brk = LatBreakdown{}
 	}
 	for _, req := range cc.forwards {

@@ -116,7 +116,7 @@ func (cc *chanCtl) issueRFM(mem int64) bool {
 	if _, _, open := cc.ch.OpenRow(r, b); open {
 		if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
 			if err := cc.ch.Precharge(mem, r, b); err == nil {
-				cc.hitCount[r][b] = 0
+				cc.hitCount[cc.bankIdx(r, b)] = 0
 				return true
 			}
 		} else {

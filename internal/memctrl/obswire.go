@@ -172,8 +172,8 @@ func (cc *chanCtl) attachObs(rec *obs.Recorder, ev *obs.EventLog, idx int) {
 		return
 	}
 	p := fmt.Sprintf("ch%d", idx)
-	rec.Gauge(p+"_readq", func() float64 { return float64(len(cc.readQ)) })
-	rec.Gauge(p+"_writeq", func() float64 { return float64(len(cc.writeQ)) })
+	rec.Gauge(p+"_readq", func() float64 { return float64(len(cc.readQ.reqs)) })
+	rec.Gauge(p+"_writeq", func() float64 { return float64(len(cc.writeQ.reqs)) })
 	rec.Gauge(p+"_drain", func() float64 {
 		if cc.drain {
 			return 1

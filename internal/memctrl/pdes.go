@@ -157,7 +157,7 @@ func (c *Controller) ParallelChannelTicks() int64 {
 // return true when no completion will actually occur; must never return
 // false when one could. See the proof obligations in the file comment.
 func (cc *chanCtl) couldCompleteColumn(mem int64) bool {
-	return len(cc.readQ) > 0 && cc.nextWake <= mem && !cc.rfmPending &&
+	return len(cc.readQ.reqs) > 0 && cc.nextWake <= mem && !cc.rfmPending &&
 		cc.ch.OpenBankCount() > 0
 }
 

@@ -7,10 +7,10 @@ import (
 
 // Checkpointing (DESIGN.md §4e). The controller serializes the clock
 // stride, the NextEvent cache, and per channel: the DRAM channel state,
-// the request queues (verbatim order — FR-FCFS scans them in order, so
-// order is simulation-visible), the forward list, drain/refresh/hit
-// bookkeeping, and the wake time. The derived occupancy indices
-// (rowCount, rankCount) are recomputed from the restored queues.
+// the request queues (verbatim arrival order — FR-FCFS picks the oldest
+// candidate, so order is simulation-visible), the forward list,
+// drain/refresh/hit bookkeeping, and the wake time. The per-bank queue
+// index (reqQueue) is rebuilt from the restored arrival order.
 // Statistics and energy are not serialized: checkpoints are taken at the
 // warmup boundary, immediately after ResetStats.
 //
@@ -18,14 +18,14 @@ import (
 // entries; they are rebound through the line-id resolver the hierarchy's
 // RestoreState returns.
 
-func saveReq(w *checkpoint.Writer, req *request) {
+func (cc *chanCtl) saveReq(w *checkpoint.Writer, req *request) {
 	w.U8(uint8(req.kind))
 	w.Int(req.loc.Channel)
 	w.Int(req.loc.Rank)
 	w.Int(req.loc.Bank)
 	w.Int(req.loc.Row)
 	w.Int(req.loc.Col)
-	w.U64(req.rowKey)
+	w.U64(cc.am.RowKeyOf(req.loc))
 	w.U64(uint64(req.byteMask))
 	w.U8(uint8(req.wordMask))
 	w.I64(req.arrive)
@@ -52,23 +52,21 @@ func (c *Controller) SaveState(w *checkpoint.Writer) {
 	w.I64(c.minWake)
 	for _, cc := range c.chans {
 		cc.ch.SaveState(w)
-		w.Count(len(cc.readQ))
-		for _, req := range cc.readQ {
-			saveReq(w, req)
+		w.Count(len(cc.readQ.reqs))
+		for _, req := range cc.readQ.reqs {
+			cc.saveReq(w, req)
 		}
-		w.Count(len(cc.writeQ))
-		for _, req := range cc.writeQ {
-			saveReq(w, req)
+		w.Count(len(cc.writeQ.reqs))
+		for _, req := range cc.writeQ.reqs {
+			cc.saveReq(w, req)
 		}
 		w.Count(len(cc.forwards))
 		for _, req := range cc.forwards {
-			saveReq(w, req)
+			cc.saveReq(w, req)
 		}
 		w.Bool(cc.drain)
-		for r := range cc.hitCount {
-			for b := range cc.hitCount[r] {
-				w.Int(cc.hitCount[r][b])
-			}
+		for _, n := range cc.hitCount {
+			w.Int(n)
 		}
 		for _, p := range cc.refPending {
 			w.Bool(p)
@@ -100,7 +98,7 @@ func (cc *chanCtl) restoreReq(r *checkpoint.Reader, fillResolve func(lineID uint
 	req.loc.Bank = r.Int()
 	req.loc.Row = r.Int()
 	req.loc.Col = r.Int()
-	req.rowKey = r.U64()
+	r.U64() // row key, derived from loc
 	req.byteMask = core.ByteMask(r.U64())
 	req.wordMask = core.Mask(r.U8())
 	req.arrive = r.I64()
@@ -220,15 +218,11 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 		for i, cc := range c.chans {
 			st := &states[i]
 			st.chCommit()
-			cc.readQ = st.readQ
-			cc.writeQ = st.writeQ
+			cc.restoreQueue(&cc.readQ, st.readQ)
+			cc.restoreQueue(&cc.writeQ, st.writeQ)
 			cc.forwards = st.forwards
 			cc.drain = st.drain
-			for ri := range cc.hitCount {
-				for bi := range cc.hitCount[ri] {
-					cc.hitCount[ri][bi] = st.hitCount[ri*c.cfg.Geom.Banks+bi]
-				}
-			}
+			copy(cc.hitCount, st.hitCount)
 			copy(cc.refPending, st.refPending)
 			copy(cc.lastWork, st.lastWork)
 			cc.nextWake = st.nextWake
@@ -237,18 +231,19 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 			cc.rfmBank = st.rfmBank
 			cc.alertUntil = st.alertUntil
 			cc.freeReq = nil
-			// Recompute the derived occupancy indices (forwarded reads are
-			// never counted — they bypassed noteAdd on enqueue).
-			cc.rowCount = nil
-			for ri := range cc.rankCount {
-				cc.rankCount[ri] = 0
-			}
-			for _, req := range cc.readQ {
-				cc.noteAdd(req)
-			}
-			for _, req := range cc.writeQ {
-				cc.noteAdd(req)
-			}
 		}
 	}, nil
+}
+
+// restoreQueue installs reqs, in arrival order, as the contents of q and
+// rebuilds its bank index. Sequence numbers restart from 1; only their
+// order within one queue is ever compared.
+func (cc *chanCtl) restoreQueue(q *reqQueue, reqs []*request) {
+	q.reqs = reqs[:0] // push re-appends each request in place
+	clear(q.banks)
+	q.order = q.order[:0]
+	q.busy, q.seq = 0, 0
+	for _, req := range reqs {
+		q.push(req, cc.bankIdx(req.loc.Rank, req.loc.Bank))
+	}
 }
