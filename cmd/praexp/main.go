@@ -77,8 +77,13 @@ func main() {
 		httpAddr = flag.String("http", "", "serve live campaign progress and pprof on this address (e.g. :6060)")
 		ckptDir  = flag.String("ckpt-dir", "", "persist warmup checkpoints in this directory so later invocations restore instead of re-warming (empty = in-memory reuse only)")
 		nockpt   = flag.Bool("nockpt", false, "disable warmup checkpoint reuse (identical results, every run warms from scratch)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole campaign to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	startProfiles(*cpuProfile, *memProfile)
+	defer stopProfiles()
 
 	if *list {
 		for _, e := range sim.Experiments() {
@@ -147,28 +152,46 @@ func main() {
 		// Warm the memo for the whole campaign in one wave, so the pool
 		// parallelizes across experiment boundaries too.
 		if err := runner.PrecomputeExperiments(sim.Experiments()); err != nil {
-			fmt.Fprintln(os.Stderr, "praexp:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		for _, e := range sim.Experiments() {
 			if err := run(e); err != nil {
-				fmt.Fprintln(os.Stderr, "praexp:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 		}
 	} else {
 		e, err := sim.ExperimentByID(*expID)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "praexp:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		if err := run(e); err != nil {
-			fmt.Fprintln(os.Stderr, "praexp:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 	}
 	stopReporter()
 	fmt.Fprintf(os.Stderr, "(total: %v, %d simulations run, %d disk-cache hits, %d warmups reused / %d cold, -j %d)\n",
 		time.Since(start).Round(time.Millisecond), runner.Simulations(), runner.DiskHits(),
 		runner.CheckpointHits(), runner.CheckpointMisses(), *workers)
+}
+
+// stopProfiles finishes the -cpuprofile/-memprofile output; fatal calls
+// it too, so a failed campaign still leaves its profiles behind.
+var stopProfiles = func() {}
+
+func startProfiles(cpuPath, memPath string) {
+	stop, err := obs.StartProfiles(cpuPath, memPath)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "praexp:", err)
+		}
+	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "praexp:", err)
+	stopProfiles()
+	os.Exit(1)
 }

@@ -124,8 +124,13 @@ func main() {
 		eventsLvl = flag.String("events", "off", "structured event trace: off | state | cmd")
 		eventsOut = flag.String("events-out", "", "write the event trace to this file (otherwise dumped to stderr only on error)")
 		httpAddr  = flag.String("http", "", "serve live telemetry JSON and pprof on this address (e.g. :6060)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	startProfiles(*cpuProfile, *memProfile)
+	defer stopProfiles()
 
 	if *list {
 		fmt.Println("benchmarks:", pradram.Workloads())
@@ -644,7 +649,24 @@ func emitJSON(w io.Writer, res pradram.Result) error {
 	return enc.Encode(rep)
 }
 
+// stopProfiles finishes the -cpuprofile/-memprofile output; fatal calls
+// it too, so a failed run still leaves its profiles behind.
+var stopProfiles = func() {}
+
+func startProfiles(cpuPath, memPath string) {
+	stop, err := obs.StartProfiles(cpuPath, memPath)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "prasim:", err)
+		}
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "prasim:", err)
+	stopProfiles()
 	os.Exit(1)
 }

@@ -60,8 +60,13 @@ func main() {
 		pdSlow       = flag.Bool("pd-slow", false, "use slow-exit (DLL-off) precharge power-down")
 		apd          = flag.Bool("apd", false, "allow active power-down (CKE low with banks open)")
 		refModeName  = flag.String("refresh-mode", "allbank", "refresh management: allbank | perbank | elastic")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	startProfiles(*cpuProfile, *memProfile)
+	defer stopProfiles()
 
 	pdPolicy, err := pradram.ParsePDPolicy(*pdPolicyName)
 	if err != nil {
@@ -112,6 +117,7 @@ func main() {
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "pratrace: need -record FILE, -replay FILE, or -info FILE")
+		stopProfiles()
 		os.Exit(2)
 	}
 }
@@ -333,7 +339,24 @@ func doReplay(path, schemeName, policyName string, compare, noskip bool, par int
 	return nil
 }
 
+// stopProfiles finishes the -cpuprofile/-memprofile output; fatal calls
+// it too, so a failed run still leaves its profiles behind.
+var stopProfiles = func() {}
+
+func startProfiles(cpuPath, memPath string) {
+	stop, err := obs.StartProfiles(cpuPath, memPath)
+	if err != nil {
+		fatal(err)
+	}
+	stopProfiles = func() {
+		if err := stop(); err != nil {
+			fmt.Fprintln(os.Stderr, "pratrace:", err)
+		}
+	}
+}
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pratrace:", err)
+	stopProfiles()
 	os.Exit(1)
 }

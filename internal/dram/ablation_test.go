@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"math/bits"
 	"testing"
 
 	"pradram/internal/core"
@@ -64,19 +65,19 @@ func TestOpenBankCountAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.OpenBankCount() != 0 {
+	if bits.OnesCount64(ch.OpenBanks()) != 0 {
 		t.Fatal("fresh channel has no open banks")
 	}
 	mustActivate(t, ch, 0, 0, 0, 1, core.FullMask, false)
 	mustActivate(t, ch, 10, 1, 3, 2, core.FullMask, false)
-	if got := ch.OpenBankCount(); got != 2 {
+	if got := bits.OnesCount64(ch.OpenBanks()); got != 2 {
 		t.Errorf("open banks = %d, want 2", got)
 	}
 	ch.ResetStats()
 	if ch.Stats.Activations() != 0 {
 		t.Error("ResetStats must zero counters")
 	}
-	if ch.OpenBankCount() != 2 {
+	if bits.OnesCount64(ch.OpenBanks()) != 2 {
 		t.Error("ResetStats must not disturb device state")
 	}
 }

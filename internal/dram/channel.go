@@ -50,6 +50,11 @@ type rankState struct {
 	pdReady     int64 // earliest next power-down entry (tCKE after the last wake)
 	openCount   int
 
+	// fawLoad is the summed weight of the faw entries, kept by Activate
+	// and restore, so ActReadyFrom walks the window only when an
+	// activation could overfill it.
+	fawLoad float64
+
 	// bgFrom is the first cycle whose background energy has not been
 	// accrued yet. Background accounting is lazy: spans of constant rank
 	// state are charged in one multiply when the state changes (any
@@ -185,8 +190,12 @@ type Channel struct {
 	ranks   []rankState
 	cmdFree int64 // next cycle the command/address bus is free
 	// openBanks has bit r*Banks+b set while bank (r,b) holds an open row
-	// (banks past the 64th are not represented).
+	// (banks past the 64th are not represented). changed collects, in the
+	// same bit layout, the banks whose open row or mask changed (ACT, PRE,
+	// auto-precharge) since the last TakeChangedBanks; a restore sets
+	// every bit.
 	openBanks uint64
+	changed   uint64
 
 	busFree int64 // first cycle the data bus is free
 	busDir  BusDir
@@ -248,13 +257,18 @@ func (c *Channel) OpenBanks() uint64 { return c.openBanks }
 // AnyBankOpen reports whether any bank in rank r holds an open row.
 func (c *Channel) AnyBankOpen(r int) bool { return c.rank(r).openCount > 0 }
 
-// OpenBankCount returns the number of open banks across all ranks.
-func (c *Channel) OpenBankCount() int {
-	n := 0
-	for r := range c.ranks {
-		n += c.ranks[r].openCount
-	}
-	return n
+// ChangedBanks returns the banks whose open row or mask changed since the
+// last TakeChangedBanks, in the OpenBanks bit layout, without clearing
+// them.
+func (c *Channel) ChangedBanks() uint64 { return c.changed }
+
+// TakeChangedBanks returns ChangedBanks and clears it. A scheduler that
+// caches per-bank answers derived from the open rows takes the set once
+// per pass and drops those answers for the returned banks.
+func (c *Channel) TakeChangedBanks() uint64 {
+	m := c.changed
+	c.changed = 0
+	return m
 }
 
 // ResetStats zeroes the event counters (energy is reset via the
@@ -429,6 +443,7 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 	c.flushBG(rk)
 	bk.open, bk.row, bk.mask = true, row, mask
 	c.openBanks |= 1 << uint(r*c.G.Banks+b)
+	c.changed |= 1 << uint(r*c.G.Banks+b)
 	bk.actAllowed = at + int64(c.T.TRC)
 	colDelay := int64(c.T.TRCD)
 	cmdCycles := int64(1)
@@ -445,9 +460,11 @@ func (c *Channel) Activate(at int64, r, b, row int, mask core.Mask, halfDRAM boo
 	rk.rrdAllowed = at + int64(core.ScaledRRD(c.T.TRRD, w))
 	// Prune expired window entries, then record this activation.
 	keep := rk.faw[:0]
+	rk.fawLoad = w
 	for _, e := range rk.faw {
 		if e.t+int64(c.T.TFAW) > at {
 			keep = append(keep, e)
+			rk.fawLoad += e.w
 		}
 	}
 	rk.faw = append(keep, fawEntry{t: at, w: w})
@@ -588,6 +605,7 @@ func (c *Channel) closeBank(r, b int, rk *rankState, bk *bankState, preAt int64)
 	bk.open = false
 	bk.mask = 0
 	c.openBanks &^= 1 << uint(r*c.G.Banks+b)
+	c.changed |= 1 << uint(r*c.G.Banks+b)
 	bk.actAllowed = max(bk.actAllowed, preAt+int64(c.T.TRP))
 	rk.openCount--
 	c.Stats.Precharges++

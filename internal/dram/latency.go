@@ -96,3 +96,73 @@ func (c *Channel) WriteLatTerms(now int64, r, b, burstCycles int, t *LatTerms) i
 	}
 	return ready
 }
+
+// RankReady is the rank- and channel-wide part of command readiness for
+// one rank at one cycle: the command bus, refresh, power-down exit, tRRD,
+// the tFAW window, tCCD, tWTR and the data bus. Every ready cycle is a
+// maximum over its terms, so a scheduler that asks about many banks of one
+// rank in one cycle starts the rank once (RankReadyAt) and folds in each
+// bank's own term (ActReadyFrom, ReadReadyFrom, WriteReadyFrom,
+// PreReadyFrom); the result equals the matching *ReadyAt query exactly.
+// The column terms are computed on their first use, so a query about a
+// single bank costs about one *ReadyAt. A RankReady is stale after any
+// command to the channel or a Wake.
+type RankReady struct {
+	rank   int
+	shared int64 // now, command bus, refresh, power-down exit: every command's floor
+	act    int64 // shared and tRRD
+	rd, wr int64 // shared, tCCD, tWTR (reads) and the data bus; unsetTerm until used
+}
+
+// unsetTerm marks a RankReady column term not computed yet (ready cycles
+// are never negative).
+const unsetTerm = -1
+
+// RankReadyAt starts rank r's shared readiness terms at cycle now in rr.
+func (c *Channel) RankReadyAt(now int64, r int, rr *RankReady) {
+	rk := c.rank(r)
+	shared := max(now, c.cmdFree, rk.refUntil, c.pdExitAt(rk, now))
+	*rr = RankReady{rank: r, shared: shared, act: max(shared, rk.rrdAllowed), rd: unsetTerm, wr: unsetTerm}
+}
+
+// ActReadyFrom returns ActReadyAt(now, rr's rank, b, mask, halfDRAM) for
+// the cycle rr was started at. The tFAW window is walked only when the
+// activation would overfill it (the device keeps the window's summed
+// weight).
+func (c *Channel) ActReadyFrom(rr *RankReady, b int, mask core.Mask, halfDRAM bool) int64 {
+	at := max(rr.act, c.bank(rr.rank, b).actAllowed)
+	w := core.ActivationWeight(mask, halfDRAM)
+	if c.NoWeightedFAW {
+		w = 1
+	}
+	if rk := c.rank(rr.rank); rk.fawLoad+w > 4 {
+		at = max(at, c.fawReadyAt(rk, w))
+	}
+	return at
+}
+
+// ReadReadyFrom returns ReadReadyAt for bank b of rr's rank at rr's cycle.
+func (c *Channel) ReadReadyFrom(rr *RankReady, b int) int64 {
+	if rr.rd == unsetTerm {
+		// The data phase must fit the bus; busStart is itself a maximum,
+		// so the bus term folds into the rank floor.
+		rk, cas := c.rank(rr.rank), int64(c.T.TCAS)
+		rr.rd = c.busStart(max(rr.shared, rk.colAllowed, rk.rdAfterWr)+cas, BusRead, rr.rank) - cas
+	}
+	return max(rr.rd, c.bank(rr.rank, b).rdAllowed)
+}
+
+// WriteReadyFrom returns WriteReadyAt for bank b of rr's rank at rr's
+// cycle.
+func (c *Channel) WriteReadyFrom(rr *RankReady, b int) int64 {
+	if rr.wr == unsetTerm {
+		rk, cwl := c.rank(rr.rank), int64(c.T.CWL)
+		rr.wr = c.busStart(max(rr.shared, rk.colAllowed)+cwl, BusWrite, rr.rank) - cwl
+	}
+	return max(rr.wr, c.bank(rr.rank, b).wrAllowed)
+}
+
+// PreReadyFrom returns PreReadyAt for bank b of rr's rank at rr's cycle.
+func (c *Channel) PreReadyFrom(rr *RankReady, b int) int64 {
+	return max(rr.shared, c.bank(rr.rank, b).preAllowed)
+}

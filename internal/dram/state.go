@@ -70,7 +70,7 @@ func (c *Channel) SaveState(w *checkpoint.Writer) {
 // RestoreState decodes a SaveState payload into temporaries and returns a
 // commit that installs it; on error the channel is untouched. openCount and
 // openBanks are recomputed from the bank states rather than trusted from
-// the payload.
+// the payload, and the commit marks every bank changed.
 func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 	cmdFree := r.I64()
 	busFree := r.I64()
@@ -93,6 +93,7 @@ func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 		rk.faw = make([]fawEntry, r.Count())
 		for i := range rk.faw {
 			rk.faw[i] = fawEntry{t: r.I64(), w: r.F64()}
+			rk.fawLoad += rk.faw[i].w
 		}
 		rk.refUntil = r.I64()
 		rk.nextRefresh = r.I64()
@@ -183,6 +184,7 @@ func (c *Channel) RestoreState(r *checkpoint.Reader) (func(), error) {
 		c.acctUpTo = acctUpTo
 		c.ranks = ranks
 		c.openBanks = openBanks
+		c.changed = ^uint64(0)
 		if tracking {
 			c.rowCtr = rowCtr
 		}

@@ -237,19 +237,20 @@ type request struct {
 // need returns the PRA word mask this request requires open.
 func (r *request) need() core.Mask { return r.wordMask }
 
-// reqQueue is one FR-FCFS queue (DESIGN.md §4k). reqs holds the requests
-// in arrival order, the order checkpoints serialize. An intrusive index
-// over the same requests threads each bank's requests (bank index
-// rank*Banks+bank) into an arrival-ordered list headed by banks[b]; busy
-// marks the banks whose list is non-empty and order lists the same banks
-// by the arrival of their heads. The scheduling passes therefore cost the
-// banks with work rather than the queue depth.
+// reqQueue is one FR-FCFS queue (DESIGN.md §4k). It threads each bank's
+// requests (bank index rank*Banks+bank) into an arrival-ordered list
+// headed by banks[b]; busy marks the banks whose list is non-empty and
+// order lists the same banks by the arrival of their heads. Arrival order
+// across banks is the seq order (arrival merges the lists by it). The
+// scheduling passes therefore cost the banks with work rather than the
+// queue depth.
 type reqQueue struct {
-	reqs  []*request
 	banks []*request // Ranks*Banks list heads; Validate caps that at 64
 	order []uint8    // non-empty banks, oldest head first
 	busy  uint64
+	n     int    // queued requests
 	seq   uint64 // last arrival sequence number handed out
+	index int    // 0 for the read queue, 1 for the write queue: bankSum's per-queue slot
 }
 
 // push appends r, queued for bank b. A request entering an empty bank is
@@ -259,7 +260,7 @@ type reqQueue struct {
 func (q *reqQueue) push(r *request, b int) {
 	q.seq++
 	r.seq = q.seq
-	q.reqs = append(q.reqs, r)
+	q.n++
 	link := &q.banks[b]
 	for *link != nil {
 		link = &(*link).bnext
@@ -275,8 +276,7 @@ func (q *reqQueue) push(r *request, b int) {
 // their order. Removing a bank head moves the bank later in order (its
 // next request arrived later) or drops it when the bank empties.
 func (q *reqQueue) remove(r *request, b int) {
-	i := slices.Index(q.reqs, r)
-	q.reqs = slices.Delete(q.reqs, i, i+1)
+	q.n--
 	link := &q.banks[b]
 	for *link != r {
 		link = &(*link).bnext
@@ -285,7 +285,7 @@ func (q *reqQueue) remove(r *request, b int) {
 	if link != &q.banks[b] {
 		return
 	}
-	i = slices.Index(q.order, uint8(b))
+	i := slices.Index(q.order, uint8(b))
 	h := q.banks[b]
 	if h == nil {
 		q.busy &^= 1 << uint(b)
@@ -298,6 +298,26 @@ func (q *reqQueue) remove(r *request, b int) {
 	q.order[i] = uint8(b)
 }
 
+// arrival calls fn on every queued request in arrival order, merging the
+// bank lists by seq. It serves checkpoints, the latency reset and tests,
+// none of them on the scheduling path.
+func (q *reqQueue) arrival(fn func(*request)) {
+	var cur [64]*request
+	copy(cur[:], q.banks)
+	for left := q.busy; left != 0; {
+		next := bits.TrailingZeros64(left)
+		for m := left & (left - 1); m != 0; m &= m - 1 {
+			if b := bits.TrailingZeros64(m); cur[b].seq < cur[next].seq {
+				next = b
+			}
+		}
+		fn(cur[next])
+		if cur[next] = cur[next].bnext; cur[next] == nil {
+			left &^= 1 << uint(next)
+		}
+	}
+}
+
 // find returns the queued request for location l in bank b, or nil.
 func (q *reqQueue) find(b int, l Loc) *request {
 	for o := q.banks[b]; o != nil; o = o.bnext {
@@ -308,15 +328,51 @@ func (q *reqQueue) find(b int, l Loc) *request {
 	return nil
 }
 
-// hits reports whether a request other than skip queued for bank b would
-// hit row open under mask.
-func (q *reqQueue) hits(b, row int, mask core.Mask, skip *request) bool {
-	for o := q.banks[b]; o != nil; o = o.bnext {
-		if o != skip && o.loc.Row == row && core.ClassifyAccess(true, true, mask, o.kind, o.need()) == core.Hit {
-			return true
-		}
-	}
-	return false
+// bankSum is one bank's scheduling summary (DESIGN.md §4l): the answers
+// the FR-FCFS passes would otherwise re-derive from the bank's two request
+// lists on every pass. hits, rank and bank are always current; the rest
+// holds only while the bank's bit is set in chanCtl.valid and is a pure
+// function of the bank's lists (merged write masks included), its open
+// row and mask, and hits. Those change only at enqueue, merge, dequeue,
+// ACT and PRE, which clear the bit through chanCtl.invalidate.
+type bankSum struct {
+	hits       int // open-row column accesses since the last ACT (MaxRowHits cap)
+	rank, bank int
+
+	// Open bank. cand is, per queue (reqQueue.index), the oldest request
+	// the open row covers, and candSeq its seq. covered counts the covered
+	// requests of both queues; benefits reports that one of them may
+	// still issue under the hit cap (the bank holds its row open for it).
+	// partial marks a partial open mask, under which queued same-row
+	// requests can be false hits; fhNext is, per queue, the first request
+	// the false-hit marking has not reached.
+	cand     [2]*request
+	candSeq  [2]uint64
+	fhNext   [2]*request
+	covered  int
+	benefits bool
+	partial  bool
+
+	// Closed bank: the activation mask for the write queue's head
+	// (Section 5.2.1; reads always activate the full row).
+	actMask core.Mask
+}
+
+// rankCtl is the controller's per-rank state.
+type rankCtl struct {
+	// lastWork is the last scheduling-pass cycle at which the rank had
+	// queued work, the idle clock the timeout-based power-down policies
+	// count from. It is updated only inside scheduling passes (after the
+	// nextWake early-return), so skip-mode and per-cycle runs observe the
+	// identical sequence of values.
+	lastWork int64
+	// refPending freezes the rank's column and ACT/PRE work while an
+	// all-bank refresh is being pushed through.
+	refPending bool
+	// ready holds the rank's shared command-readiness terms, computed at
+	// the start of each pass in which the rank has queued work or an open
+	// bank.
+	ready dram.RankReady
 }
 
 type chanCtl struct {
@@ -328,16 +384,16 @@ type chanCtl struct {
 
 	readQ, writeQ reqQueue
 	drain         bool
-	hitCount      []int // open-row accesses per bank, indexed like reqQueue.banks
-	refPending    []bool
 	forwards      []*request // reads served from the write queue
 
-	// lastWork is the last scheduling-pass cycle at which each rank had
-	// queued work, the idle clock the timeout-based power-down policies
-	// count from. It is updated only inside scheduling passes (after the
-	// nextWake early-return), so skip-mode and per-cycle runs observe the
-	// identical sequence of values.
-	lastWork []int64
+	// sum holds the per-bank scheduling summaries, indexed like
+	// reqQueue.banks; valid marks the banks whose derived fields are
+	// current. ranks holds the per-rank state; blocked marks the banks of
+	// refPending ranks for the current pass.
+	sum     []bankSum
+	valid   uint64
+	ranks   []rankCtl
+	blocked uint64
 
 	// nextWake is the earliest memory cycle at which scheduling could
 	// possibly issue a command; between now and then ticks only accrue
@@ -485,12 +541,15 @@ func New(cfg Config) (*Controller, error) {
 		}
 		cc := &chanCtl{cfg: &c.cfg, ch: ch, acc: acc, am: am, idx: i}
 		nb := cfg.Geom.Ranks * cfg.Geom.Banks
-		cc.hitCount = make([]int, nb)
-		cc.refPending = make([]bool, cfg.Geom.Ranks)
+		cc.sum = make([]bankSum, nb)
+		for b := range cc.sum {
+			cc.sum[b].rank, cc.sum[b].bank = b/cfg.Geom.Banks, b%cfg.Geom.Banks
+		}
+		cc.ranks = make([]rankCtl, cfg.Geom.Ranks)
 		heads, order := make([]*request, 2*nb), make([]uint8, 0, 2*nb)
 		cc.readQ.banks, cc.writeQ.banks = heads[:nb:nb], heads[nb:]
 		cc.readQ.order, cc.writeQ.order = order[:0:nb], order[nb:nb]
-		cc.lastWork = make([]int64, cfg.Geom.Ranks)
+		cc.writeQ.index = 1
 		if cfg.LatBreak {
 			cc.latHistBank = make([]stats.LogHist, cfg.Geom.Ranks*cfg.Geom.Banks)
 		}
@@ -510,7 +569,7 @@ func (c *Controller) RowKey(addr uint64) uint64 { return c.am.RowKey(addr) }
 func (c *Controller) Read(addr uint64, done core.Done) bool {
 	l := c.am.Decompose(addr)
 	cc := c.chans[l.Channel]
-	if len(cc.readQ.reqs) >= c.cfg.ReadQ {
+	if cc.readQ.n >= c.cfg.ReadQ {
 		cc.stats.ReadRejects++
 		return false
 	}
@@ -532,6 +591,7 @@ func (c *Controller) Read(addr uint64, done core.Done) bool {
 		return true
 	}
 	cc.readQ.push(req, b)
+	cc.invalidate(1 << uint(b))
 	return true
 }
 
@@ -554,9 +614,10 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 	if w := cc.writeQ.find(b, l); w != nil {
 		w.byteMask |= mask
 		w.wordMask = project(w.byteMask)
+		cc.invalidate(1 << uint(b))
 		return true
 	}
-	if len(cc.writeQ.reqs) >= c.cfg.WriteQ {
+	if cc.writeQ.n >= c.cfg.WriteQ {
 		cc.stats.WriteRejects++
 		return false
 	}
@@ -568,6 +629,7 @@ func (c *Controller) Write(addr uint64, mask core.ByteMask) bool {
 	req.arrive = c.lastMem + 1
 	req.mark = req.arrive
 	cc.writeQ.push(req, b)
+	cc.invalidate(1 << uint(b))
 	cc.nextWake = 0
 	c.active = true
 	return true
@@ -587,7 +649,7 @@ func (c *Controller) ResetStats() {
 // Pending reports whether any request is still queued or forwarding.
 func (c *Controller) Pending() bool {
 	for _, cc := range c.chans {
-		if len(cc.readQ.reqs) > 0 || len(cc.writeQ.reqs) > 0 || len(cc.forwards) > 0 {
+		if cc.readQ.n > 0 || cc.writeQ.n > 0 || len(cc.forwards) > 0 {
 			return true
 		}
 	}
@@ -781,7 +843,7 @@ func (cc *chanCtl) tick(mem int64) {
 	// state's exit latency before the first command (tXP/tXPDLL/tXS).
 	for r := 0; r < cc.cfg.Geom.Ranks; r++ {
 		if cc.rankHasWork(r) {
-			cc.lastWork[r] = mem
+			cc.ranks[r].lastWork = mem
 		}
 		if cc.ch.PoweredDown(r) && (cc.rankHasWork(r) || cc.refreshWakes(mem, r)) {
 			st := cc.ch.PDStateOf(r)
@@ -794,17 +856,17 @@ func (cc *chanCtl) tick(mem int64) {
 	}
 
 	// Watermark-driven write drain (Section 5.1.2).
-	if len(cc.writeQ.reqs) >= cc.cfg.HighWM {
+	if cc.writeQ.n >= cc.cfg.HighWM {
 		if !cc.drain && cc.ev.Enabled(obs.LevelState) {
 			cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-				Kind: "drain-start", Detail: fmt.Sprintf("write queue %d >= high watermark %d", len(cc.writeQ.reqs), cc.cfg.HighWM)})
+				Kind: "drain-start", Detail: fmt.Sprintf("write queue %d >= high watermark %d", cc.writeQ.n, cc.cfg.HighWM)})
 		}
 		cc.drain = true
-	} else if cc.drain && len(cc.writeQ.reqs) <= cc.cfg.LowWM {
+	} else if cc.drain && cc.writeQ.n <= cc.cfg.LowWM {
 		cc.drain = false
 		if cc.ev.Enabled(obs.LevelState) {
 			cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-				Kind: "drain-stop", Detail: fmt.Sprintf("write queue %d <= low watermark %d", len(cc.writeQ.reqs), cc.cfg.LowWM)})
+				Kind: "drain-stop", Detail: fmt.Sprintf("write queue %d <= low watermark %d", cc.writeQ.n, cc.cfg.LowWM)})
 		}
 	}
 
@@ -826,7 +888,12 @@ func (cc *chanCtl) tick(mem int64) {
 }
 
 // schedule makes one scheduling pass; reports whether a command issued.
+// The pass reads bank summaries and rank readiness only before its first
+// DRAM command, after which it returns, so both describe the device state
+// the pass started from (the power-state changes at the end of idleManage
+// read neither).
 func (cc *chanCtl) schedule(mem int64) bool {
+	cc.invalidate(cc.ch.TakeChangedBanks())
 	if cc.issueRefresh(mem) {
 		return true
 	}
@@ -836,8 +903,22 @@ func (cc *chanCtl) schedule(mem int64) bool {
 	if cc.rfmPending {
 		return cc.issueRFM(mem)
 	}
+	// Per-pass rank state: the readiness terms of every rank the passes
+	// below can query (one with queued work or an open bank), and the
+	// banks of ranks a pending refresh freezes.
+	active := cc.readQ.busy | cc.writeQ.busy | cc.ch.OpenBanks()
+	cc.blocked = 0
+	for r := range cc.ranks {
+		banks := (uint64(1)<<uint(cc.cfg.Geom.Banks) - 1) << uint(r*cc.cfg.Geom.Banks)
+		if active&banks != 0 {
+			cc.ch.RankReadyAt(mem, r, &cc.ranks[r].ready)
+		}
+		if cc.ranks[r].refPending {
+			cc.blocked |= banks
+		}
+	}
 	primary, secondary := &cc.readQ, &cc.writeQ
-	if cc.drain || len(cc.readQ.reqs) == 0 {
+	if cc.drain || cc.readQ.n == 0 {
 		primary, secondary = &cc.writeQ, &cc.readQ
 	}
 	if cc.tryColumn(mem, primary) {
@@ -930,10 +1011,10 @@ func (cc *chanCtl) issueRefresh(mem int64) bool {
 			continue
 		}
 		if !cc.refreshWanted(mem, r) {
-			cc.refPending[r] = false
+			cc.ranks[r].refPending = false
 			continue
 		}
-		cc.refPending[r] = true
+		cc.ranks[r].refPending = true
 		if cc.ch.AnyBankOpen(r) {
 			for b := 0; b < cc.cfg.Geom.Banks; b++ {
 				if _, _, open := cc.ch.OpenRow(r, b); !open {
@@ -941,7 +1022,7 @@ func (cc *chanCtl) issueRefresh(mem int64) bool {
 				}
 				if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
 					if err := cc.ch.Precharge(mem, r, b); err == nil {
-						cc.hitCount[cc.bankIdx(r, b)] = 0
+						cc.sum[cc.bankIdx(r, b)].hits = 0
 						return true
 					}
 				} else {
@@ -953,7 +1034,7 @@ func (cc *chanCtl) issueRefresh(mem int64) bool {
 		if at, ok := cc.ch.RefreshReadyAt(mem, r); ok {
 			if at <= mem {
 				if err := cc.ch.Refresh(mem, r); err == nil {
-					cc.refPending[r] = false
+					cc.ranks[r].refPending = false
 					if cc.ev.Enabled(obs.LevelState) {
 						cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
 							Kind: "refresh", Detail: fmt.Sprintf("rank %d blocked for tRFC=%d", r, cc.cfg.Timing.TRFC)})
@@ -979,7 +1060,7 @@ func (cc *chanCtl) issueRefreshBank(mem int64, r int) bool {
 	if _, _, open := cc.ch.OpenRow(r, b); open {
 		if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
 			if err := cc.ch.Precharge(mem, r, b); err == nil {
-				cc.hitCount[cc.bankIdx(r, b)] = 0
+				cc.sum[cc.bankIdx(r, b)].hits = 0
 				return true
 			}
 		} else {
@@ -1015,54 +1096,98 @@ func (cc *chanCtl) writeFrac(req *request) float64 {
 	return req.need().Fraction()
 }
 
+// invalidate drops the summaries of banks (a bitmap in OpenBanks layout).
+// It is the only way a summary becomes stale: enqueue, merge and dequeue
+// call it for their bank, and schedule feeds it the device's changed
+// banks (ACT, PRE, restore) at the start of every pass.
+func (cc *chanCtl) invalidate(banks uint64) { cc.valid &^= banks }
+
+// summary returns bank b's summary, recomputing it if it was invalidated.
+func (cc *chanCtl) summary(b int) *bankSum {
+	if cc.valid&(1<<uint(b)) == 0 {
+		cc.summarize(b)
+	}
+	return &cc.sum[b]
+}
+
+// summarize recomputes bank b's summary from its two request lists and
+// the device's open row. A fresh summary has marked no false hits yet.
+func (cc *chanCtl) summarize(b int) {
+	cc.valid |= 1 << uint(b)
+	s := &cc.sum[b]
+	*s = bankSum{hits: s.hits, rank: s.rank, bank: s.bank}
+	row, mask, open := cc.ch.OpenRow(s.rank, s.bank)
+	if !open {
+		s.actMask = core.FullMask
+		if h := cc.writeQ.banks[b]; h != nil {
+			s.actMask = cc.actMask(h)
+		}
+		return
+	}
+	s.partial = !mask.IsFull()
+	for i, q := range [2]*reqQueue{&cc.readQ, &cc.writeQ} {
+		if s.partial {
+			s.fhNext[i] = q.banks[b]
+		}
+		for o := q.banks[b]; o != nil; o = o.bnext {
+			if o.loc.Row == row && core.ClassifyAccess(true, true, mask, o.kind, o.need()) == core.Hit {
+				if s.cand[i] == nil {
+					s.cand[i], s.candSeq[i] = o, o.seq
+				}
+				s.covered++
+			}
+		}
+	}
+	s.benefits = s.covered > 0 && s.hits < cc.cfg.MaxRowHits
+}
+
 // tryColumn issues the oldest ready column command for a covered open-row
 // request, honoring the open-row access cap. Every request of q in one
 // bank sees that bank's hit cap and column readiness, so only the oldest
 // covered request of each open bank can win (DESIGN.md §4k): the pass
-// takes one candidate per bank and issues the oldest ready one.
+// takes each bank's candidate from its summary and issues the oldest
+// ready one.
 func (cc *chanCtl) tryColumn(mem int64, q *reqQueue) bool {
-	burst := cc.cfg.Scheme.burstCycles(cc.cfg.Timing.TBURST)
-	var best *request
-	var bestMask core.Mask
-	var bestTerms dram.LatTerms
-	for m := q.busy & cc.ch.OpenBanks(); m != 0; m &= m - 1 {
+	best := -1
+	var bestSeq uint64
+	for m := q.busy & cc.ch.OpenBanks() &^ cc.blocked; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
-		if cc.hitCount[b] >= cc.cfg.MaxRowHits {
+		if cc.sum[b].hits >= cc.cfg.MaxRowHits {
 			continue
 		}
-		req := q.banks[b]
-		l := &req.loc // rank and bank are shared by the whole list
-		if cc.refPending[l.Rank] {
+		s := cc.summary(b)
+		if s.cand[q.index] == nil || (best >= 0 && s.candSeq[q.index] > bestSeq) {
 			continue
 		}
-		row, mask, _ := cc.ch.OpenRow(l.Rank, l.Bank)
-		for req != nil && (req.loc.Row != row ||
-			core.ClassifyAccess(true, true, mask, req.kind, req.need()) != core.Hit) {
-			req = req.bnext
-		}
-		if req == nil || (best != nil && req.seq > best.seq) {
-			continue
-		}
-		var terms dram.LatTerms
 		var at int64
-		if req.kind == core.Read {
-			at = cc.ch.ReadLatTerms(mem, l.Rank, l.Bank, burst, &terms)
+		if q.index == 0 {
+			at = cc.ch.ReadReadyFrom(&cc.ranks[s.rank].ready, s.bank)
 		} else {
-			at = cc.ch.WriteLatTerms(mem, l.Rank, l.Bank, burst, &terms)
+			at = cc.ch.WriteReadyFrom(&cc.ranks[s.rank].ready, s.bank)
 		}
 		if at > mem {
 			cc.noteReady(at)
 			continue
 		}
-		best, bestMask, bestTerms = req, mask, terms
+		best, bestSeq = b, s.candSeq[q.index]
 	}
-	if best == nil {
+	if best < 0 {
 		return false
 	}
 	// Readiness covers every condition the device checks (open bank, awake
 	// rank, timing), so the column command cannot fail.
-	req, l := best, best.loc
-	autoPre := cc.autoPrecharge(req, bestMask)
+	req := cc.sum[best].cand[q.index]
+	l := req.loc
+	autoPre := cc.autoPrecharge(&cc.sum[best])
+	burst := cc.cfg.Scheme.burstCycles(cc.cfg.Timing.TBURST)
+	var terms dram.LatTerms
+	if cc.cfg.LatBreak { // only attribution (sweepWait) reads the per-term split
+		if req.kind == core.Read {
+			cc.ch.ReadLatTerms(mem, l.Rank, l.Bank, burst, &terms)
+		} else {
+			cc.ch.WriteLatTerms(mem, l.Rank, l.Bank, burst, &terms)
+		}
+	}
 	if req.kind == core.Read {
 		done, err := cc.ch.Read(mem, l.Rank, l.Bank, burst, cc.cfg.Scheme.ioFrac(), autoPre)
 		if err != nil {
@@ -1070,7 +1195,7 @@ func (cc *chanCtl) tryColumn(mem int64, q *reqQueue) bool {
 		}
 		cc.finishColumn(q, req, autoPre)
 		cc.stats.ReadLatencySum += done - req.arrive
-		cc.sweepWait(req, mem, &bestTerms)
+		cc.sweepWait(req, mem, &terms)
 		cc.completeLat(req, mem, done)
 		cc.complete(req.done, done*cc.cfg.CPUPerMem)
 	} else {
@@ -1080,7 +1205,7 @@ func (cc *chanCtl) tryColumn(mem int64, q *reqQueue) bool {
 		}
 		cc.finishColumn(q, req, autoPre)
 		cc.stats.WriteLatencySum += end - req.arrive
-		cc.sweepWait(req, mem, &bestTerms)
+		cc.sweepWait(req, mem, &terms)
 		cc.completeLat(req, mem, end)
 	}
 	cc.releaseReq(req)
@@ -1090,11 +1215,11 @@ func (cc *chanCtl) tryColumn(mem int64, q *reqQueue) bool {
 // finishColumn updates hit accounting and removes the request from its
 // queue.
 func (cc *chanCtl) finishColumn(q *reqQueue, req *request, autoPre bool) {
-	l := req.loc
+	b := cc.bankIdx(req.loc.Rank, req.loc.Bank)
 	if autoPre {
-		cc.hitCount[cc.bankIdx(l.Rank, l.Bank)] = 0
+		cc.sum[b].hits = 0
 	} else {
-		cc.hitCount[cc.bankIdx(l.Rank, l.Bank)]++
+		cc.sum[b].hits++
 	}
 	if req.kind == core.Read {
 		cc.stats.ReadsServed++
@@ -1107,32 +1232,33 @@ func (cc *chanCtl) finishColumn(q *reqQueue, req *request, autoPre bool) {
 			cc.stats.RowHitWrite++
 		}
 	}
-	q.remove(req, cc.bankIdx(l.Rank, l.Bank))
+	q.remove(req, b)
+	cc.invalidate(1 << uint(b))
 }
 
-// autoPrecharge decides whether a column access should close the row:
-// always under the restricted policy; under the relaxed policy only when
-// no queued request would hit the (possibly partial) open row within the
-// access cap.
-func (cc *chanCtl) autoPrecharge(req *request, openMask core.Mask) bool {
+// autoPrecharge decides whether a column access to the bank of summary s
+// should close the row: always under the restricted policy; under the
+// relaxed policy only when no other queued request would hit the
+// (possibly partial) open row within the access cap. The issuing request
+// is one of the covered ones.
+func (cc *chanCtl) autoPrecharge(s *bankSum) bool {
 	if cc.cfg.Policy == RestrictedClose {
 		return true
 	}
-	l := req.loc
-	if cc.hitCount[cc.bankIdx(l.Rank, l.Bank)]+1 >= cc.cfg.MaxRowHits {
+	if s.hits+1 >= cc.cfg.MaxRowHits {
 		return true
 	}
 	if cc.cfg.Policy == OpenPage {
 		return false // rows stay open until a conflict or the hit cap
 	}
-	b := cc.bankIdx(l.Rank, l.Bank)
-	return !cc.readQ.hits(b, l.Row, openMask, req) && !cc.writeQ.hits(b, l.Row, openMask, req)
+	return s.covered <= 1
 }
 
 // actMask computes the activation mask for a request (Section 5.2.1: PRA
 // masks of queued same-row writes are ORed; a queued same-row read forces
-// a full activation). The masks are read at activation time, so a write
-// widened by a merge contributes its merged mask.
+// a full activation). The masks are read when the bank's summary is
+// computed, and a merge invalidates it, so a write widened by a merge
+// contributes its merged mask.
 func (cc *chanCtl) actMask(req *request) core.Mask {
 	if !cc.cfg.Scheme.praWrites() || req.kind == core.Read {
 		return core.FullMask
@@ -1167,9 +1293,31 @@ func (cc *chanCtl) markFalseHit(req *request, mask core.Mask) {
 	}
 }
 
+// markFalseHits advances queue qi's false-hit marking in partially open
+// bank b through the requests with seq at most limit. Marking is
+// idempotent and the bank's list and open mask are fixed while its
+// summary is valid, so the requests before fhNext never need a second
+// look.
+func (cc *chanCtl) markFalseHits(qi, b int, limit uint64) {
+	s := &cc.sum[b]
+	o := s.fhNext[qi]
+	if o == nil || o.seq > limit {
+		return
+	}
+	row, mask, _ := cc.ch.OpenRow(s.rank, s.bank)
+	for ; o != nil && o.seq <= limit; o = o.bnext {
+		if o.loc.Row == row {
+			cc.markFalseHit(o, mask)
+		}
+	}
+	s.fhNext[qi] = o
+}
+
 // tryPrep progresses the oldest request that needs an ACT or PRE. Only the
 // oldest request per bank matters (FCFS within a bank), so the pass walks
-// the bank heads in arrival order (reqQueue.order).
+// the bank heads in arrival order (reqQueue.order), reading each bank's
+// summary: a closed bank's head wants an ACT of the cached mask, an open
+// bank's head wants a PRE unless the row still benefits a queued request.
 //
 // False hits are counted for every queued request that observes its row
 // partially open, even while older same-bank requests are still in line,
@@ -1178,26 +1326,33 @@ func (cc *chanCtl) markFalseHit(req *request, mask core.Mask) {
 // state the issued command did not touch.
 func (cc *chanCtl) tryPrep(mem int64, q *reqQueue) bool {
 	half := cc.cfg.Scheme.halfDRAMOrg()
-	var partial uint64 // walked banks open under a partial mask with younger requests
+	var partial uint64 // walked banks open under a partial mask
 	var issued *request
-	for _, b := range q.order {
-		req := q.banks[b]
-		l := &req.loc
-		if cc.refPending[l.Rank] {
+	for _, b8 := range q.order {
+		b := int(b8)
+		if cc.blocked&(1<<uint(b)) != 0 {
 			continue
 		}
-		row, mask, open := cc.ch.OpenRow(l.Rank, l.Bank)
-		if !open {
-			m := cc.actMask(req)
-			var terms dram.LatTerms
-			if at := cc.ch.ActLatTerms(mem, l.Rank, l.Bank, m, half, &terms); at > mem {
+		s := cc.summary(b)
+		if cc.ch.OpenBanks()&(1<<uint(b)) == 0 {
+			m := core.FullMask
+			if q.index == 1 {
+				m = s.actMask
+			}
+			if at := cc.ch.ActReadyFrom(&cc.ranks[s.rank].ready, s.bank, m, half); at > mem {
 				cc.noteReady(at)
 				continue
+			}
+			req := q.banks[b]
+			l := &req.loc
+			var terms dram.LatTerms
+			if cc.cfg.LatBreak { // only attribution (sweepWait) reads the per-term split
+				cc.ch.ActLatTerms(mem, l.Rank, l.Bank, m, half, &terms)
 			}
 			if err := cc.ch.Activate(mem, l.Rank, l.Bank, l.Row, m, half); err != nil {
 				continue
 			}
-			cc.hitCount[b] = 0
+			s.hits = 0
 			req.activated = true
 			cc.sweepWait(req, mem, &terms)
 			if req.kind == core.Read {
@@ -1209,27 +1364,23 @@ func (cc *chanCtl) tryPrep(mem int64, q *reqQueue) bool {
 			issued = req
 			break
 		}
-		sameRow := row == l.Row
-		if sameRow {
-			cc.markFalseHit(req, mask)
+		if s.partial {
+			partial |= 1 << uint(b)
+			if h := q.banks[b]; s.fhNext[q.index] == h {
+				cc.markFalseHits(q.index, b, h.seq) // the head, before its own command
+			}
 		}
-		if !mask.IsFull() && req.bnext != nil {
-			partial |= 1 << b
-		}
-		outcome := core.ClassifyAccess(true, sameRow, mask, req.kind, req.need())
-		if outcome == core.Hit && cc.hitCount[b] < cc.cfg.MaxRowHits {
-			continue // waiting for the column path; nothing to prep
-		}
-		if cc.rowBenefits(l.Rank, l.Bank, row, mask) {
-			// Another queued request will hit the open row: let it drain
-			// before conflicting it away (bounded by the row-hit cap), so
-			// read/write phase switches do not waste fresh activations.
+		if s.benefits {
+			// A queued request will hit the open row (the head itself, or
+			// another one): let it drain before conflicting it away
+			// (bounded by the row-hit cap), so read/write phase switches
+			// do not waste fresh activations.
 			continue
 		}
-		if at := cc.ch.PreReadyAt(mem, l.Rank, l.Bank); at <= mem {
-			if err := cc.ch.Precharge(mem, l.Rank, l.Bank); err == nil {
-				cc.hitCount[b] = 0
-				issued = req
+		if at := cc.ch.PreReadyFrom(&cc.ranks[s.rank].ready, s.bank); at <= mem {
+			if err := cc.ch.Precharge(mem, s.rank, s.bank); err == nil {
+				s.hits = 0
+				issued = q.banks[b]
 				break
 			}
 		} else {
@@ -1241,12 +1392,8 @@ func (cc *chanCtl) tryPrep(mem int64, q *reqQueue) bool {
 		limit = issued.seq // the issuing bank's younger requests fall past it
 	}
 	for m := partial; m != 0; m &= m - 1 {
-		h := q.banks[bits.TrailingZeros64(m)]
-		row, mask, _ := cc.ch.OpenRow(h.loc.Rank, h.loc.Bank)
-		for o := h.bnext; o != nil && o.seq <= limit; o = o.bnext {
-			if o.loc.Row == row {
-				cc.markFalseHit(o, mask)
-			}
+		if b := bits.TrailingZeros64(m); cc.sum[b].fhNext[q.index] != nil {
+			cc.markFalseHits(q.index, b, limit)
 		}
 	}
 	return issued != nil
@@ -1260,15 +1407,14 @@ func (cc *chanCtl) idleManage(mem int64) bool {
 	if cc.cfg.Policy != OpenPage {
 		// Open banks in (rank, bank) order.
 		for m := cc.ch.OpenBanks(); m != 0; m &= m - 1 {
-			i := bits.TrailingZeros64(m)
-			r, b := i/geom.Banks, i%geom.Banks
-			row, mask, _ := cc.ch.OpenRow(r, b)
-			if cc.rowBenefits(r, b, row, mask) {
+			b := bits.TrailingZeros64(m)
+			s := cc.summary(b)
+			if s.benefits {
 				continue
 			}
-			if at := cc.ch.PreReadyAt(mem, r, b); at <= mem {
-				if err := cc.ch.Precharge(mem, r, b); err == nil {
-					cc.hitCount[i] = 0
+			if at := cc.ch.PreReadyFrom(&cc.ranks[s.rank].ready, s.bank); at <= mem {
+				if err := cc.ch.Precharge(mem, s.rank, s.bank); err == nil {
+					s.hits = 0
 					return true
 				}
 			} else {
@@ -1341,7 +1487,7 @@ func (cc *chanCtl) idleManage(mem int64) bool {
 				cc.noteReady(at)
 			} else if cc.ch.EnterSelfRefresh(mem, r) && cc.ev.Enabled(obs.LevelState) {
 				cc.ev.Emit(obs.Event{Cycle: mem, Level: obs.LevelState, Scope: cc.scope,
-					Kind: "self-refresh", Detail: fmt.Sprintf("rank %d idle for %d cycles, entering self-refresh", r, mem-cc.lastWork[r])})
+					Kind: "self-refresh", Detail: fmt.Sprintf("rank %d idle for %d cycles, entering self-refresh", r, mem-cc.ranks[r].lastWork)})
 			}
 			continue
 		}
@@ -1373,12 +1519,12 @@ func (cc *chanCtl) pdDueAt(mem int64, r int) int64 {
 	case PDNone:
 		return farFuture
 	case PDTimed:
-		return cc.lastWork[r] + cc.cfg.PDTimeout
+		return cc.ranks[r].lastWork + cc.cfg.PDTimeout
 	case PDQueueAware:
 		if cc.readQ.busy|cc.writeQ.busy == 0 {
 			return mem
 		}
-		return cc.lastWork[r] + cc.cfg.PDTimeout
+		return cc.ranks[r].lastWork + cc.cfg.PDTimeout
 	default: // PDImmediate
 		return mem
 	}
@@ -1390,16 +1536,7 @@ func (cc *chanCtl) srDueAt(r int) int64 {
 	if cc.cfg.SRTimeout == 0 {
 		return farFuture
 	}
-	return cc.lastWork[r] + cc.cfg.SRTimeout
-}
-
-// rowBenefits reports whether any queued request would hit the open row.
-func (cc *chanCtl) rowBenefits(rank, bank, row int, mask core.Mask) bool {
-	if cc.hitCount[cc.bankIdx(rank, bank)] >= cc.cfg.MaxRowHits {
-		return false
-	}
-	b := cc.bankIdx(rank, bank)
-	return cc.readQ.hits(b, row, mask, nil) || cc.writeQ.hits(b, row, mask, nil)
+	return cc.ranks[r].lastWork + cc.cfg.SRTimeout
 }
 
 // rankHasWork reports whether any queued request targets rank.

@@ -46,7 +46,7 @@ func benchTraffic(b *testing.B, scheme Scheme, maxReads, maxQueued int) {
 func queued(c *Controller) int {
 	n := 0
 	for _, cc := range c.chans {
-		n += len(cc.readQ.reqs) + len(cc.writeQ.reqs)
+		n += cc.readQ.n + cc.writeQ.n
 	}
 	return n
 }

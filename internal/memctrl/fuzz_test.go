@@ -45,8 +45,10 @@ func checkConservation(t *testing.T, c *Controller, acceptedReads, acceptedWrite
 }
 
 // driveRandomTraffic feeds seeded random traffic into a fresh controller,
-// drains it, and checks conservation. The shared harness behind both the
-// deterministic matrix test and the fuzz target.
+// drains it, and checks conservation; after every DRAM tick it checks the
+// bank summaries against a recomputation (checkSummaries).
+// The shared harness behind both the deterministic matrix test and the
+// fuzz target.
 func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64) {
 	t.Helper()
 	c, err := New(cfg)
@@ -76,10 +78,20 @@ func driveRandomTraffic(t *testing.T, cfg Config, seed int64, cycles int64) {
 			}
 		}
 		c.Tick(cpu)
+		if cpu%c.cfg.CPUPerMem == 0 {
+			for _, cc := range c.chans {
+				checkSummaries(t, cc, cpu)
+			}
+		}
 	}
 	// Drain.
 	for limit := cpu + 4*2_000_000; c.Pending() && cpu < limit; cpu++ {
 		c.Tick(cpu)
+		if cpu%c.cfg.CPUPerMem == 0 {
+			for _, cc := range c.chans {
+				checkSummaries(t, cc, cpu)
+			}
+		}
 	}
 	if c.Pending() {
 		t.Fatal("controller failed to drain")

@@ -219,12 +219,9 @@ func (cc *chanCtl) resetLat() {
 	cc.spans = cc.spans[:0]
 	cc.spanHead = 0
 	cc.spanSeq = 0
-	for _, req := range cc.readQ.reqs {
-		req.brk = LatBreakdown{}
-	}
-	for _, req := range cc.writeQ.reqs {
-		req.brk = LatBreakdown{}
-	}
+	clearBrk := func(req *request) { req.brk = LatBreakdown{} }
+	cc.readQ.arrival(clearBrk)
+	cc.writeQ.arrival(clearBrk)
 	for _, req := range cc.forwards {
 		req.brk = LatBreakdown{}
 	}

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pradram/internal/dram"
 	"pradram/internal/obs"
@@ -172,15 +173,15 @@ func (cc *chanCtl) attachObs(rec *obs.Recorder, ev *obs.EventLog, idx int) {
 		return
 	}
 	p := fmt.Sprintf("ch%d", idx)
-	rec.Gauge(p+"_readq", func() float64 { return float64(len(cc.readQ.reqs)) })
-	rec.Gauge(p+"_writeq", func() float64 { return float64(len(cc.writeQ.reqs)) })
+	rec.Gauge(p+"_readq", func() float64 { return float64(cc.readQ.n) })
+	rec.Gauge(p+"_writeq", func() float64 { return float64(cc.writeQ.n) })
 	rec.Gauge(p+"_drain", func() float64 {
 		if cc.drain {
 			return 1
 		}
 		return 0
 	})
-	rec.Gauge(p+"_open_banks", func() float64 { return float64(cc.ch.OpenBankCount()) })
+	rec.Gauge(p+"_open_banks", func() float64 { return float64(bits.OnesCount64(cc.ch.OpenBanks())) })
 	geom := cc.cfg.Geom
 	for r := 0; r < geom.Ranks; r++ {
 		for b := 0; b < geom.Banks; b++ {

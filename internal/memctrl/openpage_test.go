@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/bits"
 	"testing"
 
 	"pradram/internal/core"
@@ -18,7 +19,7 @@ func TestOpenPageKeepsRowsOpen(t *testing.T) {
 	for ; cpu < 12000; cpu++ {
 		c.Tick(cpu)
 	}
-	if got := c.chans[0].ch.OpenBankCount() + c.chans[1].ch.OpenBankCount(); got != 1 {
+	if got := bits.OnesCount64(c.chans[0].ch.OpenBanks()) + bits.OnesCount64(c.chans[1].ch.OpenBanks()); got != 1 {
 		t.Fatalf("open banks = %d, want 1 (open-page persistence)", got)
 	}
 	// A late same-row read hits without re-activation.

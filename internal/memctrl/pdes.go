@@ -157,8 +157,8 @@ func (c *Controller) ParallelChannelTicks() int64 {
 // return true when no completion will actually occur; must never return
 // false when one could. See the proof obligations in the file comment.
 func (cc *chanCtl) couldCompleteColumn(mem int64) bool {
-	return len(cc.readQ.reqs) > 0 && cc.nextWake <= mem && !cc.rfmPending &&
-		cc.ch.OpenBankCount() > 0
+	return cc.readQ.n > 0 && cc.nextWake <= mem && !cc.rfmPending &&
+		cc.ch.OpenBanks() != 0
 }
 
 // tick runs one DRAM tick over all channels under the dispatch plan

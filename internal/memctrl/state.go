@@ -52,27 +52,24 @@ func (c *Controller) SaveState(w *checkpoint.Writer) {
 	w.I64(c.minWake)
 	for _, cc := range c.chans {
 		cc.ch.SaveState(w)
-		w.Count(len(cc.readQ.reqs))
-		for _, req := range cc.readQ.reqs {
-			cc.saveReq(w, req)
-		}
-		w.Count(len(cc.writeQ.reqs))
-		for _, req := range cc.writeQ.reqs {
-			cc.saveReq(w, req)
-		}
+		save := func(req *request) { cc.saveReq(w, req) }
+		w.Count(cc.readQ.n)
+		cc.readQ.arrival(save)
+		w.Count(cc.writeQ.n)
+		cc.writeQ.arrival(save)
 		w.Count(len(cc.forwards))
 		for _, req := range cc.forwards {
 			cc.saveReq(w, req)
 		}
 		w.Bool(cc.drain)
-		for _, n := range cc.hitCount {
-			w.Int(n)
+		for i := range cc.sum {
+			w.Int(cc.sum[i].hits)
 		}
-		for _, p := range cc.refPending {
-			w.Bool(p)
+		for i := range cc.ranks {
+			w.Bool(cc.ranks[i].refPending)
 		}
-		for _, t := range cc.lastWork {
-			w.I64(t)
+		for i := range cc.ranks {
+			w.I64(cc.ranks[i].lastWork)
 		}
 		w.I64(cc.nextWake)
 		// Alert/RFM mitigation FSM (mitigation.go), ckptFormat v3: a
@@ -222,9 +219,13 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 			cc.restoreQueue(&cc.writeQ, st.writeQ)
 			cc.forwards = st.forwards
 			cc.drain = st.drain
-			copy(cc.hitCount, st.hitCount)
-			copy(cc.refPending, st.refPending)
-			copy(cc.lastWork, st.lastWork)
+			for j, n := range st.hitCount {
+				cc.sum[j].hits = n
+			}
+			for j := range cc.ranks {
+				cc.ranks[j].refPending = st.refPending[j]
+				cc.ranks[j].lastWork = st.lastWork[j]
+			}
 			cc.nextWake = st.nextWake
 			cc.rfmPending = st.rfmPending
 			cc.rfmRank = st.rfmRank
@@ -237,12 +238,13 @@ func (c *Controller) RestoreState(r *checkpoint.Reader, fillResolve func(lineID 
 
 // restoreQueue installs reqs, in arrival order, as the contents of q and
 // rebuilds its bank index. Sequence numbers restart from 1; only their
-// order within one queue is ever compared.
+// order within one queue is ever compared. The bank summaries need no
+// reset here: the device's restore marks every bank changed, so the next
+// pass recomputes them all.
 func (cc *chanCtl) restoreQueue(q *reqQueue, reqs []*request) {
-	q.reqs = reqs[:0] // push re-appends each request in place
 	clear(q.banks)
 	q.order = q.order[:0]
-	q.busy, q.seq = 0, 0
+	q.busy, q.n, q.seq = 0, 0, 0
 	for _, req := range reqs {
 		q.push(req, cc.bankIdx(req.loc.Rank, req.loc.Bank))
 	}
